@@ -5,7 +5,8 @@ Public surface:
 * :class:`ValueDistribution` — discrete population model (Lemma 3 input);
 * :func:`build_deviation_model` / :class:`DeviationModel` — Lemmas 2 and 3;
 * :func:`build_multivariate_model` / :class:`MultivariateDeviationModel`
-  — Theorem 1 joint pdf and supremum-box probabilities;
+  — Theorem 1 joint pdf and supremum-box probabilities over the ``δ`` and
+  ``σ`` arrays; :func:`bernoulli_sigmas` fills ``σ`` for one-hot entries;
 * :func:`benchmark_mechanisms` — experiment-free mechanism comparison
   (Table II);
 * :func:`berry_esseen_bound` / :func:`convergence_curve` — Theorem 2.
@@ -20,7 +21,7 @@ from .berry_esseen import (
     berry_esseen_bound,
     convergence_curve,
 )
-from .deviation import DeviationModel, build_deviation_model
+from .deviation import DeviationModel, bernoulli_sigmas, build_deviation_model
 from .multivariate import MultivariateDeviationModel, build_multivariate_model
 from .population import DEFAULT_BINS, ValueDistribution
 
@@ -36,6 +37,7 @@ __all__ = [
     "MultivariateDeviationModel",
     "ValueDistribution",
     "benchmark_mechanisms",
+    "bernoulli_sigmas",
     "berry_esseen_bound",
     "build_deviation_model",
     "build_multivariate_model",

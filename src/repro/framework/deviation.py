@@ -11,9 +11,10 @@ asymptotically Gaussian,
   — the moments are averaged over the population value distribution.
 
 :func:`build_deviation_model` dispatches on the mechanism's ``bounded``
-flag and returns a :class:`DeviationModel`, which knows its pdf/cdf, the
-probability of staying inside a supremum ``ξ`` (the Table II quantity), and
-high-confidence envelopes ``|δ| + z·σ`` used by HDR4ME's λ* selection.
+flag and returns a :class:`DeviationModel`, which knows its pdf/cdf and the
+probability of staying inside a supremum ``ξ`` (the Table II quantity).
+:func:`bernoulli_sigmas` gives the Lemma 3 ``σ`` of every histogram-encoded
+entry at once, for the array-backed joint model HDR4ME consumes.
 """
 
 from __future__ import annotations
@@ -80,26 +81,9 @@ class DeviationModel:
 
     def supremum_probability(self, xi: float) -> float:
         """``P(|θ̂ − θ̄| ≤ ξ)`` — the per-dimension Table II quantity."""
-        if xi < 0:
+        if not xi >= 0:
             raise ParameterError("supremum must be non-negative, got %g" % xi)
         return self.interval_probability(-xi, xi)
-
-    def exceedance_probability(self, threshold: float) -> float:
-        """``P(|θ̂ − θ̄| > threshold)`` (Lemma 4/5 threshold events)."""
-        return 1.0 - self.supremum_probability(threshold)
-
-    def envelope(self, confidence: float = 0.9973) -> float:
-        """High-confidence bound on ``|θ̂ − θ̄|`` used as the "sup".
-
-        Returns ``|δ| + z·σ`` where ``z`` is the two-sided Gaussian
-        quantile for ``confidence`` (default ≈ 3σ). This is the practical
-        reading of the paper's ``sup|θ̂_j − θ̄_j|``, which is infinite for
-        a literal Gaussian.
-        """
-        if not 0.0 < confidence < 1.0:
-            raise ParameterError("confidence must lie in (0, 1), got %g" % confidence)
-        z = stats.norm.ppf(0.5 + confidence / 2.0)
-        return abs(self.delta) + z * self.sigma
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw deviations from the Gaussian model (for simulation studies)."""
@@ -159,3 +143,21 @@ def build_deviation_model(
         epsilon=eps,
         mechanism_name=mechanism.name,
     )
+
+
+def bernoulli_sigmas(
+    mechanism: Mechanism, epsilon: float, reports: int, frequencies: np.ndarray
+) -> np.ndarray:
+    """Lemma 3 ``σ`` of histogram-encoded entries, one per frequency.
+
+    Entry ``c`` of a one-hot encoding is Bernoulli(``f_c``) over the
+    endpoints ``{0, 1}``, so ``E_t[Var(t*|t)]`` is the mechanism's
+    conditional variance at those two values mixed by ``f_c``. The plug-in
+    ``frequencies`` are clipped to ``[0, 1]``.
+    """
+    eps = validate_epsilon(epsilon)
+    if reports < 1:
+        raise ParameterError("reports must be >= 1, got %d" % reports)
+    f = np.clip(np.asarray(frequencies, dtype=np.float64), 0.0, 1.0)
+    at_zero, at_one = mechanism.conditional_variance(np.array([0.0, 1.0]), eps)
+    return np.sqrt(((1.0 - f) * at_zero + f * at_one) / reports)

@@ -2,9 +2,9 @@
 
 Because each dimension is perturbed independently, the joint pdf of the
 ``d``-dimensional deviation ``θ̂ − θ̄`` factorizes into the per-dimension
-Gaussians of Lemmas 2/3 (paper Eq. 12). :class:`MultivariateDeviationModel`
-wraps a list of :class:`~repro.framework.deviation.DeviationModel` and
-exposes the quantities the paper derives from the joint pdf:
+Gaussians of Lemmas 2/3 (paper Eq. 12). The joint model is therefore two
+length-``d`` vectors, ``δ`` and ``σ``: :class:`MultivariateDeviationModel`
+stores exactly those and evaluates, one array expression each,
 
 * the pdf / log-pdf itself;
 * the probability of the deviation staying inside a supremum box ``S``
@@ -17,44 +17,59 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import special
 
-from ..exceptions import DimensionError, ParameterError
+from ..exceptions import DimensionError, DistributionError, ParameterError
 from ..mechanisms.base import Mechanism
-from .deviation import DeviationModel, build_deviation_model
+from .deviation import build_deviation_model
 from .population import ValueDistribution
 
 Suprema = Union[float, Sequence[float], np.ndarray]
 
 
-@dataclass(frozen=True)
-class MultivariateDeviationModel:
-    """Product-form Gaussian model of the ``d``-dimensional deviation."""
+def _frozen_vector(values) -> np.ndarray:
+    vector = np.array(values, dtype=np.float64).reshape(-1)
+    vector.flags.writeable = False
+    return vector
 
-    dimensions: List[DeviationModel]
+
+@dataclass(frozen=True, eq=False)
+class MultivariateDeviationModel:
+    """Product-form Gaussian model of the ``d``-dimensional deviation.
+
+    Attributes
+    ----------
+    deltas:
+        Per-dimension deviation means ``δ_j`` (read-only float64 vector).
+    sigmas:
+        Per-dimension deviation standard deviations ``σ_j`` (read-only,
+        finite and positive).
+    """
+
+    deltas: np.ndarray
+    sigmas: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.dimensions:
+        deltas = _frozen_vector(self.deltas)
+        sigmas = _frozen_vector(self.sigmas)
+        if sigmas.size == 0:
             raise DimensionError("need at least one dimension")
-
-    # ------------------------------------------------------------ properties
+        if deltas.size != sigmas.size:
+            raise DimensionError(
+                "%d deltas for %d sigmas" % (deltas.size, sigmas.size)
+            )
+        if not np.all(np.isfinite(sigmas) & (sigmas > 0.0)):
+            raise DistributionError("sigmas must be finite and positive")
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def ndim(self) -> int:
         """Number of modelled dimensions ``d``."""
-        return len(self.dimensions)
-
-    @property
-    def deltas(self) -> np.ndarray:
-        """Vector of per-dimension deviation means ``δ_j``."""
-        return np.array([m.delta for m in self.dimensions])
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        """Vector of per-dimension deviation standard deviations ``σ_j``."""
-        return np.array([m.sigma for m in self.dimensions])
+        return self.sigmas.size
 
     # --------------------------------------------------------------- density
 
@@ -82,14 +97,7 @@ class MultivariateDeviationModel:
         product of one-dimensional Gaussian probabilities, so the result
         is exact rather than a numeric cubature.
         """
-        xi = self._broadcast_suprema(suprema)
-        log_total = 0.0
-        for model, bound in zip(self.dimensions, xi):
-            p = model.supremum_probability(float(bound))
-            if p <= 0.0:
-                return 0.0
-            log_total += math.log(p)
-        return math.exp(log_total)
+        return _product(self._inside_probabilities(suprema))
 
     def any_outside_probability(self, suprema: Suprema) -> float:
         """``P(∃j: |θ̂_j − θ̄_j| > ξ_j) = 1 − box_probability``.
@@ -108,14 +116,7 @@ class MultivariateDeviationModel:
         statement, which we also expose as
         :meth:`any_outside_probability`.
         """
-        xi = self._broadcast_suprema(suprema)
-        log_total = 0.0
-        for model, bound in zip(self.dimensions, xi):
-            p = model.exceedance_probability(float(bound))
-            if p <= 0.0:
-                return 0.0
-            log_total += math.log(p)
-        return math.exp(log_total)
+        return _product(1.0 - self._inside_probabilities(suprema))
 
     def expected_squared_l2(self) -> float:
         """``E‖θ̂ − θ̄‖₂² = Σ_j (δ_j² + σ_j²)`` — predicts ``d·MSE``."""
@@ -142,18 +143,31 @@ class MultivariateDeviationModel:
             )
         return dev
 
-    def _broadcast_suprema(self, suprema: Suprema) -> np.ndarray:
+    def _inside_probabilities(self, suprema: Suprema) -> np.ndarray:
+        """Per-dimension ``P(|θ̂_j − θ̄_j| ≤ ξ_j)`` in one ``ndtr`` call."""
         xi = np.asarray(suprema, dtype=np.float64).ravel()
-        if xi.size == 1:
-            xi = np.full(self.ndim, float(xi[0]))
-        if xi.size != self.ndim:
+        if xi.size not in (1, self.ndim):
             raise DimensionError(
                 "suprema vector has %d entries, model has %d dimensions"
                 % (xi.size, self.ndim)
             )
-        if np.any(xi < 0):
+        if not np.all(xi >= 0):
             raise ParameterError("suprema must be non-negative")
-        return xi
+        high, low = special.ndtr(
+            np.stack([xi - self.deltas, -xi - self.deltas]) / self.sigmas
+        )
+        return high - low
+
+
+def _product(probabilities: np.ndarray) -> float:
+    """Product of per-dimension probabilities, summed in log space.
+
+    Exactly ``0.0`` when any factor is ``≤ 0``, so thousands of factors
+    below one underflow to zero instead of raising.
+    """
+    if np.any(probabilities <= 0.0):
+        return 0.0
+    return math.exp(np.sum(np.log(probabilities)))
 
 
 def build_multivariate_model(
@@ -182,17 +196,23 @@ def build_multivariate_model(
         ``None``, inferred from the sequence length otherwise.
     """
     if isinstance(populations, ValueDistribution) or populations is None:
-        if ndim is None:
-            raise DimensionError("ndim is required with a shared population")
-        per_dim = [populations] * int(ndim)
-    else:
-        per_dim = list(populations)
-        if ndim is not None and ndim != len(per_dim):
-            raise DimensionError(
-                "ndim=%d disagrees with %d populations" % (ndim, len(per_dim))
-            )
+        if ndim is None or ndim < 1:
+            raise DimensionError("a shared population needs ndim >= 1")
+        shared = build_deviation_model(
+            mechanism, epsilon_per_dim, reports, populations
+        )
+        return MultivariateDeviationModel(
+            np.full(int(ndim), shared.delta), np.full(int(ndim), shared.sigma)
+        )
+    per_dim = list(populations)
+    if ndim is not None and ndim != len(per_dim):
+        raise DimensionError(
+            "ndim=%d disagrees with %d populations" % (ndim, len(per_dim))
+        )
     models = [
         build_deviation_model(mechanism, epsilon_per_dim, reports, pop)
         for pop in per_dim
     ]
-    return MultivariateDeviationModel(models)
+    return MultivariateDeviationModel(
+        [m.delta for m in models], [m.sigma for m in models]
+    )

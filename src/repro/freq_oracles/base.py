@@ -14,7 +14,9 @@ A :class:`FrequencyOracle` exposes:
   whatever report type the oracle uses;
 * :meth:`estimate` — collector-side: unbiased frequency estimates from
   the reports;
-* :meth:`estimation_variance` — the closed-form variance of one
+* :attr:`support_probabilities` — the ``(p, q)`` pair every estimator
+  of the family is built on;
+* :meth:`estimation_variance` — the closed-form variance of each
   category's estimate, which is exactly what the paper's framework needs
   to build the Lemma-2-style Gaussian deviation model (the estimators
   are unbiased sums of i.i.d. per-user contributions);
@@ -24,12 +26,11 @@ A :class:`FrequencyOracle` exposes:
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
-from ..framework.deviation import DeviationModel
 from ..framework.multivariate import MultivariateDeviationModel
 from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
 from ..mechanisms.base import validate_epsilon
@@ -60,9 +61,24 @@ class FrequencyOracle(abc.ABC):
     def estimate(self, reports) -> np.ndarray:
         """Unbiased per-category frequency estimates from reports."""
 
+    @property
     @abc.abstractmethod
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """Variance of one category's estimate at true frequency ``f``."""
+    def support_probabilities(self) -> Tuple[float, float]:
+        """``(p, q)``: the chance a report supports category ``c``.
+
+        ``p`` when the user's category is ``c``, ``q`` when it is not.
+        """
+
+    def estimation_variance(self, frequency, users: int):
+        """``Var[f̂] = P(1 − P) / (n (p − q)²)``, ``P = f·p + (1 − f)·q``.
+
+        ``frequency`` is a plug-in scalar or array, clipped to ``[0, 1]``;
+        the result has its shape.
+        """
+        f = np.clip(frequency, 0.0, 1.0)
+        p, q = self.support_probabilities
+        hit = f * p + (1.0 - f) * q
+        return hit * (1.0 - hit) / (users * (p - q) ** 2)
 
     # ------------------------------------------------------------- framework
 
@@ -80,23 +96,14 @@ class FrequencyOracle(abc.ABC):
             raise DimensionError("users must be >= 1, got %d" % users)
         if frequencies is None:
             frequencies = np.full(self.n_categories, 1.0 / self.n_categories)
-        freq = np.clip(np.asarray(frequencies, dtype=np.float64), 0.0, 1.0)
+        freq = np.asarray(frequencies, dtype=np.float64)
         if freq.size != self.n_categories:
             raise DimensionError(
                 "frequencies has %d entries for %d categories"
                 % (freq.size, self.n_categories)
             )
-        models = [
-            DeviationModel(
-                delta=0.0,
-                sigma=float(np.sqrt(self.estimation_variance(f, users))),
-                reports=int(users),
-                epsilon=self.epsilon,
-                mechanism_name=self.name,
-            )
-            for f in freq
-        ]
-        return MultivariateDeviationModel(models)
+        sigmas = np.sqrt(self.estimation_variance(freq, users))
+        return MultivariateDeviationModel(np.zeros_like(sigmas), sigmas)
 
     def estimate_recalibrated(
         self,

@@ -15,6 +15,7 @@ GRR is optimal for small category counts and degrades linearly in ``v``
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -56,9 +57,6 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         observed = counts / arr.size
         return (observed - self.p_other) / (self.p_true - self.p_other)
 
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − q)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_true, self.p_other
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_true, self.p_other

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -123,9 +124,6 @@ class OptimizedLocalHashing(FrequencyOracle):
         q = 1.0 / self.n_buckets
         return (observed_rate - q) / (self.p_true - q)
 
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − 1/g)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_true, 1.0 / self.n_buckets
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_true, 1.0 / self.n_buckets

@@ -12,6 +12,7 @@ the well-known ``4 e^ε / (n (e^ε − 1)²)`` at small ``f``.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -57,9 +58,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         observed = matrix.mean(axis=0)
         return (observed - self.p_flip) / (self.p_keep - self.p_flip)
 
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − q)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_keep, self.p_flip
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_keep, self.p_flip

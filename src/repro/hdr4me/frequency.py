@@ -21,9 +21,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
-from ..framework.deviation import build_deviation_model
+from ..framework.deviation import bernoulli_sigmas
 from ..framework.multivariate import MultivariateDeviationModel
-from ..framework.population import ValueDistribution
 from ..mechanisms.base import (
     AffineTransformedMechanism,
     Mechanism,
@@ -233,25 +232,8 @@ class FrequencyEstimator:
         variance ``E_t[Var(t*|t)] / (r · slope²)``, so the per-entry
         Gaussian model is rebuilt accordingly.
         """
-        from ..framework.deviation import DeviationModel
-
-        eps = self.epsilon_per_entry
-        models = []
-        plugin = np.clip(raw, 0.0, 1.0)
-        for frequency in plugin:
-            population = ValueDistribution(
-                np.array([0.0, 1.0]),
-                np.array([1.0 - frequency, frequency]),
-            )
-            base = build_deviation_model(self.mechanism, eps, reports, population)
-            models.append(
-                DeviationModel(
-                    delta=0.0,
-                    sigma=base.sigma / abs(slope),
-                    reports=reports,
-                    epsilon=eps,
-                    mechanism_name=base.mechanism_name,
-                )
-            )
-        model = MultivariateDeviationModel(models)
+        sigmas = bernoulli_sigmas(
+            self.mechanism, self.epsilon_per_entry, reports, raw
+        ) / abs(slope)
+        model = MultivariateDeviationModel(np.zeros_like(sigmas), sigmas)
         return self.recalibrator.recalibrate(raw, model)

@@ -9,8 +9,9 @@ with "``θ̂_j − θ̄_j`` obtained from Lemma 2 or Lemma 3" — i.e. from the
 analytical framework, not from the data. A literal supremum of a Gaussian
 is infinite, so the practical reading (which the paper's experiments
 implicitly use) is a high-confidence envelope of the deviation. This
-module turns the framework's :class:`DeviationModel` into concrete λ*
-vectors:
+module turns the framework's joint
+:class:`~repro.framework.multivariate.MultivariateDeviationModel` (the
+``δ`` and ``σ`` arrays of Theorem 1) into concrete λ* vectors:
 
 * :func:`l1_lambda` returns ``|δ_j| + z·σ_j`` per dimension, where ``z``
   is the two-sided Gaussian quantile of ``confidence`` (default ≈ 3σ).
@@ -26,15 +27,13 @@ vectors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
+from scipy import special
 
-from ..exceptions import CalibrationError
-from ..framework.deviation import DeviationModel
+from ..exceptions import CalibrationError, ParameterError
 from ..framework.multivariate import MultivariateDeviationModel
-
-ModelLike = Union[MultivariateDeviationModel, Sequence[DeviationModel]]
 
 #: Default two-sided confidence for the "sup" envelope (the 3σ rule).
 DEFAULT_CONFIDENCE = 0.9973
@@ -43,28 +42,29 @@ DEFAULT_CONFIDENCE = 0.9973
 DEFAULT_FLOOR = 0.05
 
 
-def _as_models(model: ModelLike) -> Sequence[DeviationModel]:
-    if isinstance(model, MultivariateDeviationModel):
-        return model.dimensions
-    return list(model)
-
-
 def deviation_envelopes(
-    model: ModelLike, confidence: float = DEFAULT_CONFIDENCE
+    model: MultivariateDeviationModel, confidence: float = DEFAULT_CONFIDENCE
 ) -> np.ndarray:
-    """Per-dimension high-confidence envelopes of ``|θ̂_j − θ̄_j|``."""
-    return np.array([m.envelope(confidence) for m in _as_models(model)])
+    """Per-dimension high-confidence envelopes of ``|θ̂_j − θ̄_j|``.
+
+    Returns ``|δ_j| + z·σ_j`` where ``z`` is the two-sided Gaussian
+    quantile for ``confidence`` (default ≈ 3σ).
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ParameterError("confidence must lie in (0, 1), got %g" % confidence)
+    z = special.ndtri(0.5 + confidence / 2.0)
+    return np.abs(model.deltas) + z * model.sigmas
 
 
 def l1_lambda(
-    model: ModelLike, confidence: float = DEFAULT_CONFIDENCE
+    model: MultivariateDeviationModel, confidence: float = DEFAULT_CONFIDENCE
 ) -> np.ndarray:
     """Lemma 4 weights: the deviation envelope itself."""
     return deviation_envelopes(model, confidence)
 
 
 def l2_lambda(
-    model: ModelLike,
+    model: MultivariateDeviationModel,
     theta_hat: Optional[np.ndarray] = None,
     reference_mean: Optional[np.ndarray] = None,
     confidence: float = DEFAULT_CONFIDENCE,
@@ -76,7 +76,7 @@ def l2_lambda(
     Parameters
     ----------
     model:
-        Framework deviation model(s), one per dimension.
+        The Theorem 1 joint deviation model.
     theta_hat:
         The estimated mean; used to build the plug-in reference when no
         explicit ``reference_mean`` is given.

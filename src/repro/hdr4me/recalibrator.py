@@ -11,6 +11,7 @@ framework's deviation model, which is the paper's central design point
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,8 +27,7 @@ from .lambda_select import (
     l1_lambda,
     l2_lambda,
 )
-from .regularizers import get_regularizer
-from .solvers import ProximalGradientSolver, recalibrate_l1, recalibrate_l2
+from .solvers import recalibrate_l1, recalibrate_l2
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,8 @@ class Recalibrator:
         Confidence of the deviation envelope standing in for the paper's
         ``sup|θ̂ − θ̄|`` (default ≈ 3σ).
     floor:
-        L2 only — floor on the |θ̄| proxy in the weight denominator.
-    use_pgd:
-        Solve with the generic proximal-gradient solver instead of the
-        closed form. Results are identical (the tests assert it); the
-        option exists to exercise the derivation and to support future
-        non-quadratic losses.
+        L2 only — floor on the |θ̄| proxy in the weight denominator
+        (finite and positive).
     """
 
     def __init__(
@@ -83,7 +79,6 @@ class Recalibrator:
         norm: str = "l1",
         confidence: float = DEFAULT_CONFIDENCE,
         floor: float = DEFAULT_FLOOR,
-        use_pgd: bool = False,
     ) -> None:
         key = norm.lower()
         if key not in ("l1", "l2"):
@@ -92,10 +87,13 @@ class Recalibrator:
             raise CalibrationError(
                 "confidence must lie in (0, 1), got %g" % confidence
             )
+        if not (math.isfinite(floor) and floor > 0.0):
+            raise CalibrationError(
+                "floor must be finite and positive, got %g" % floor
+            )
         self.norm = key
         self.confidence = float(confidence)
         self.floor = float(floor)
-        self.use_pgd = bool(use_pgd)
 
     def select_lambdas(
         self,
@@ -140,10 +138,7 @@ class Recalibrator:
                 % (theta.size, model.ndim)
             )
         lambdas = self.select_lambdas(theta, model, reference_mean)
-        if self.use_pgd:
-            solver = ProximalGradientSolver(get_regularizer(self.norm))
-            theta_star = solver.solve(theta, lambdas).theta
-        elif self.norm == "l1":
+        if self.norm == "l1":
             theta_star = recalibrate_l1(theta, lambdas)
         else:
             theta_star = recalibrate_l2(theta, lambdas)

@@ -18,13 +18,12 @@ models and HDR4ME compose exactly as in Section V-C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
 from ..freq_oracles import FrequencyOracle, get_oracle
-from ..framework.deviation import DeviationModel
 from ..framework.multivariate import MultivariateDeviationModel
 from ..hdr4me.recalibrator import Recalibrator
 from ..rng import RngLike, ensure_rng
@@ -159,20 +158,10 @@ class PaddingAndSampling:
     def _recalibrate(self, frequencies: np.ndarray, users: int):
         """HDR4ME with the L-scaled oracle variance per item."""
         scale = float(self.padding_length)
-        models: List[DeviationModel] = []
-        for frequency in np.clip(frequencies, 0.0, 1.0):
-            base_var = self._oracle.estimation_variance(
-                min(frequency / scale, 1.0), users
-            )
-            models.append(
-                DeviationModel(
-                    delta=0.0,
-                    sigma=scale * float(np.sqrt(base_var)),
-                    reports=users,
-                    epsilon=self._oracle.epsilon,
-                    mechanism_name="padding_sampling/%s" % self._oracle.name,
-                )
-            )
+        base_var = self._oracle.estimation_variance(
+            np.clip(frequencies, 0.0, 1.0) / scale, users
+        )
+        sigmas = scale * np.sqrt(base_var)
         return self.recalibrator.recalibrate(
-            frequencies, MultivariateDeviationModel(models)
+            frequencies, MultivariateDeviationModel(np.zeros_like(sigmas), sigmas)
         )

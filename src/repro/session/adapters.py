@@ -34,12 +34,12 @@ done by :class:`repro.session.LDPClient`.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import AggregationError, DimensionError, DomainError, WireFormatError
-from ..framework.deviation import DeviationModel, build_deviation_model
+from ..framework.deviation import bernoulli_sigmas, build_deviation_model
 from ..framework.multivariate import MultivariateDeviationModel
 from ..framework.population import ValueDistribution
 from ..freq_oracles.base import FrequencyOracle
@@ -316,7 +316,7 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
         model = build_deviation_model(
             self.mechanism, self.epsilon, count, population
         )
-        return MultivariateDeviationModel([model])
+        return MultivariateDeviationModel([model.delta], [model.sigma])
 
 
 class _HistogramState:
@@ -401,26 +401,10 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
         """
         count = self._require_reports(state)
         slope, _ = self._affine()
-        plugin = np.clip(self.estimate(state), 0.0, 1.0)
-        models: List[DeviationModel] = []
-        for frequency in plugin:
-            population = ValueDistribution(
-                np.array([0.0, 1.0]),
-                np.array([1.0 - frequency, frequency]),
-            )
-            base = build_deviation_model(
-                self.mechanism, self.epsilon_per_entry, count, population
-            )
-            models.append(
-                DeviationModel(
-                    delta=0.0,
-                    sigma=base.sigma / abs(slope),
-                    reports=count,
-                    epsilon=self.epsilon_per_entry,
-                    mechanism_name=base.mechanism_name,
-                )
-            )
-        return MultivariateDeviationModel(models)
+        sigmas = bernoulli_sigmas(
+            self.mechanism, self.epsilon_per_entry, count, self.estimate(state)
+        ) / abs(slope)
+        return MultivariateDeviationModel(np.zeros_like(sigmas), sigmas)
 
 
 class MechanismProtocol(CollectionProtocol):

@@ -602,11 +602,10 @@ class LDPServer:
         numeric = [a for a in self.schema if a.kind == "numeric"]
         if numeric:
             theta_hat = np.array([raws[a.name][0] for a in numeric])
+            models = [self.deviation_model(a.name) for a in numeric]
             joint = MultivariateDeviationModel(
-                [
-                    self.deviation_model(a.name).dimensions[0]
-                    for a in numeric
-                ]
+                np.concatenate([m.deltas for m in models]),
+                np.concatenate([m.sigmas for m in models]),
             )
             theta_star = self._apply(postprocess, theta_hat, joint)
             for idx, attr in enumerate(numeric):

@@ -94,9 +94,7 @@ class TestFrameworkInputs:
             ValueDistribution(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
 
     def test_recalibrator_rejects_nan_lambdas(self):
-        model = MultivariateDeviationModel(
-            [DeviationModel(delta=0.0, sigma=1.0, reports=10, epsilon=1.0)]
-        )
+        model = MultivariateDeviationModel([0.0], [1.0])
         # A NaN estimate propagates into the plug-in lambda path; the
         # solver must reject non-finite weights rather than emit NaN.
         from repro.hdr4me.solvers import recalibrate_l1
@@ -108,15 +106,15 @@ class TestFrameworkInputs:
         with pytest.raises(DistributionError):
             DeviationModel(delta=0.0, sigma=float("nan"), reports=10, epsilon=1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_degenerate_joint_sigma_rejected(self, sigma):
+        with pytest.raises(DistributionError):
+            MultivariateDeviationModel([0.0, 0.0], [1.0, sigma])
+
     def test_recalibration_of_nan_estimate_contained(self):
         # NaN theta_hat: L1 soft-threshold of NaN is NaN; the library
         # cannot invent data, but it must not corrupt other dimensions.
-        model = MultivariateDeviationModel(
-            [
-                DeviationModel(delta=0.0, sigma=1.0, reports=10, epsilon=1.0)
-                for _ in range(2)
-            ]
-        )
+        model = MultivariateDeviationModel([0.0, 0.0], [1.0, 1.0])
         result = Recalibrator(norm="l1").recalibrate(
             np.array([np.nan, 5.0]), model
         )
@@ -126,24 +124,17 @@ class TestFrameworkInputs:
 class TestExtremeScales:
     def test_huge_dimension_count_models(self):
         # 10k-dimension analytical model: must be fast and finite.
-        models = [
-            DeviationModel(delta=0.0, sigma=1.0, reports=10, epsilon=1.0)
-            for _ in range(10_000)
-        ]
-        joint = MultivariateDeviationModel(models)
+        joint = MultivariateDeviationModel(np.zeros(10_000), np.ones(10_000))
         assert 0.0 <= joint.box_probability(1.0) <= 1.0
         assert np.isfinite(joint.predicted_mse())
 
     def test_box_probability_underflow_handled(self):
         # 5000 dimensions each with probability ~0.68 => product ~1e-830,
         # far below float range; must return 0.0, not raise.
-        models = [
-            DeviationModel(delta=0.0, sigma=1.0, reports=10, epsilon=1.0)
-            for _ in range(5_000)
-        ]
-        joint = MultivariateDeviationModel(models)
+        joint = MultivariateDeviationModel(np.zeros(5_000), np.ones(5_000))
         p = joint.box_probability(1.0)
         assert p == 0.0 or np.isfinite(p)
+        assert joint.all_outside_probability(1.0) == 0.0
 
     def test_huge_budget_pipeline(self, rng):
         # Essentially no privacy: the estimate must equal the mean.

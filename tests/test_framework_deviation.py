@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import DistributionError
-from repro.framework import DeviationModel, ValueDistribution, build_deviation_model
+from repro.exceptions import DistributionError, ParameterError
+from repro.framework import (
+    DeviationModel,
+    MultivariateDeviationModel,
+    ValueDistribution,
+    bernoulli_sigmas,
+    build_deviation_model,
+)
+from repro.hdr4me import deviation_envelopes
+from repro.hdr4me.frequency import adapt_to_unit_domain
 from repro.mechanisms import (
     LaplaceMechanism,
     PiecewiseMechanism,
@@ -63,6 +71,32 @@ class TestBuild:
             build_deviation_model(LaplaceMechanism(), 0.5, 0)
 
 
+class TestBernoulliSigmas:
+    @pytest.mark.parametrize("name", ["laplace", "piecewise", "square_wave", "duchi"])
+    def test_matches_bernoulli_population_model(self, name, rng):
+        mech = adapt_to_unit_domain(get_mechanism(name))
+        frequencies = np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0]])
+        sigmas = bernoulli_sigmas(mech, 0.2, 321, frequencies)
+        expected = [
+            build_deviation_model(
+                mech, 0.2, 321, ValueDistribution(np.array([0.0, 1.0]), np.array([1 - f, f]))
+            ).sigma
+            for f in frequencies
+        ]
+        np.testing.assert_array_max_ulp(sigmas, np.array(expected), maxulp=1)
+
+    def test_plugin_frequencies_clipped(self):
+        mech = adapt_to_unit_domain(get_mechanism("piecewise"))
+        clipped = bernoulli_sigmas(mech, 0.5, 10, np.array([0.0, 1.0]))
+        raw = bernoulli_sigmas(mech, 0.5, 10, np.array([-0.3, 1.7]))
+        assert raw.tolist() == clipped.tolist()
+
+    def test_invalid_reports(self):
+        mech = adapt_to_unit_domain(get_mechanism("piecewise"))
+        with pytest.raises(ParameterError):
+            bernoulli_sigmas(mech, 0.5, 0, np.array([0.5]))
+
+
 class TestModelQueries:
     @pytest.fixture()
     def model(self):
@@ -84,10 +118,15 @@ class TestModelQueries:
         assert model.supremum_probability(0.0) == pytest.approx(0.0, abs=1e-12)
         assert model.supremum_probability(100.0) == pytest.approx(1.0)
 
+    @staticmethod
+    def _joint(model):
+        """The one-dimensional joint model carrying ``model``'s moments."""
+        return MultivariateDeviationModel([model.delta], [model.sigma])
+
     def test_supremum_plus_exceedance_is_one(self, model):
         xi = 0.7
-        total = model.supremum_probability(xi) + model.exceedance_probability(xi)
-        assert total == pytest.approx(1.0)
+        exceedance = self._joint(model).all_outside_probability(xi)
+        assert model.supremum_probability(xi) + exceedance == pytest.approx(1.0)
 
     def test_interval_probability_monotone(self, model):
         assert model.interval_probability(-1, 1) < model.interval_probability(-2, 2)
@@ -96,20 +135,25 @@ class TestModelQueries:
         with pytest.raises(ValueError):
             model.supremum_probability(-0.1)
 
+    def test_nan_supremum_rejected(self, model):
+        with pytest.raises(ParameterError):
+            model.supremum_probability(float("nan"))
+
     def test_empty_interval_rejected(self, model):
         with pytest.raises(ValueError):
             model.interval_probability(1.0, 0.0)
 
     def test_envelope_default_is_three_sigma(self, model):
-        assert model.envelope() == pytest.approx(abs(model.delta) + 3 * model.sigma,
-                                                 rel=1e-3)
+        (envelope,) = deviation_envelopes(self._joint(model))
+        assert envelope == pytest.approx(abs(model.delta) + 3 * model.sigma, rel=1e-3)
 
     def test_envelope_grows_with_confidence(self, model):
-        assert model.envelope(0.999) > model.envelope(0.9)
+        joint = self._joint(model)
+        assert deviation_envelopes(joint, 0.999)[0] > deviation_envelopes(joint, 0.9)[0]
 
     def test_envelope_invalid_confidence(self, model):
         with pytest.raises(ValueError):
-            model.envelope(1.0)
+            deviation_envelopes(self._joint(model), 1.0)
 
     def test_sample_moments(self, model, rng):
         sample = model.sample(200_000, rng)

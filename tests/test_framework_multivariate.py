@@ -8,32 +8,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, DistributionError, ParameterError
 from repro.framework import (
     DeviationModel,
     MultivariateDeviationModel,
     ValueDistribution,
+    build_deviation_model,
     build_multivariate_model,
 )
 from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism
 
 
 def _model(deltas, sigmas):
-    return MultivariateDeviationModel(
-        [
-            DeviationModel(delta=d, sigma=s, reports=100, epsilon=1.0)
-            for d, s in zip(deltas, sigmas)
-        ]
-    )
+    return MultivariateDeviationModel(deltas, sigmas)
+
+
+def _marginals(deltas, sigmas):
+    """The scalar Lemma 2/3 models the joint model factorizes into."""
+    return [
+        DeviationModel(delta=d, sigma=s, reports=100, epsilon=1.0)
+        for d, s in zip(deltas, sigmas)
+    ]
 
 
 class TestDensity:
     def test_pdf_is_product_of_marginals(self):
         model = _model([0.0, 0.5], [1.0, 2.0])
+        first, second = _marginals([0.0, 0.5], [1.0, 2.0])
         x = np.array([0.3, -0.7])
-        expected = (
-            model.dimensions[0].pdf(x[0]) * model.dimensions[1].pdf(x[1])
-        )
+        expected = first.pdf(x[0]) * second.pdf(x[1])
         assert model.pdf(x) == pytest.approx(float(expected))
 
     def test_logpdf_consistent(self):
@@ -53,13 +56,28 @@ class TestDensity:
 
 class TestProbabilities:
     def test_box_probability_product(self):
-        model = _model([0.0, 0.0], [1.0, 2.0])
+        model = _model([0.0, 0.3], [1.0, 2.0])
+        first, second = _marginals([0.0, 0.3], [1.0, 2.0])
         xi = 1.0
-        expected = (
-            model.dimensions[0].supremum_probability(xi)
-            * model.dimensions[1].supremum_probability(xi)
+        expected = first.supremum_probability(xi) * second.supremum_probability(xi)
+        assert model.box_probability(xi) == pytest.approx(expected, rel=1e-12)
+
+    def test_all_outside_probability_product(self):
+        model = _model([0.2, -0.1, 0.0], [0.5, 1.0, 2.0])
+        marginals = _marginals([0.2, -0.1, 0.0], [0.5, 1.0, 2.0])
+        xi = [0.4, 1.0, 1.5]
+        expected = np.prod(
+            [1.0 - m.supremum_probability(x) for m, x in zip(marginals, xi)]
         )
-        assert model.box_probability(xi) == pytest.approx(expected)
+        assert model.all_outside_probability(xi) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_inside_plus_outside_is_one_per_dimension(self):
+        model = _model([0.3], [1.2])
+        xi = 0.7
+        total = model.box_probability(xi) + model.all_outside_probability(xi)
+        assert total == pytest.approx(1.0)
 
     def test_box_probability_per_dim_suprema(self):
         model = _model([0.0, 0.0], [1.0, 1.0])
@@ -93,6 +111,15 @@ class TestProbabilities:
     def test_mismatched_suprema_rejected(self):
         with pytest.raises(DimensionError):
             _model([0.0, 0.0], [1.0, 1.0]).box_probability([1.0, 1.0, 1.0])
+
+    def test_nan_suprema_rejected(self):
+        model = _model([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ParameterError):
+            model.box_probability(float("nan"))
+        with pytest.raises(ParameterError):
+            model.all_outside_probability([1.0, float("nan"), 1.0])
+        with pytest.raises(ParameterError):
+            model.any_outside_probability([float("nan")] * 3)
 
 
 class TestMsePrediction:
@@ -157,7 +184,31 @@ class TestBuilder:
 
     def test_empty_model_rejected(self):
         with pytest.raises(DimensionError):
-            MultivariateDeviationModel([])
+            MultivariateDeviationModel([], [])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(DimensionError):
+            MultivariateDeviationModel([0.0, 0.0], [1.0])
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_sigma_rejected(self, sigma):
+        with pytest.raises(DistributionError):
+            MultivariateDeviationModel([0.0, 0.0], [1.0, sigma])
+
+    def test_arrays_are_frozen_copies(self):
+        sigmas = np.array([1.0, 2.0])
+        model = MultivariateDeviationModel(np.zeros(2), sigmas)
+        sigmas[0] = 5.0
+        assert model.sigmas[0] == 1.0
+        with pytest.raises(ValueError):
+            model.deltas[0] = 1.0
+
+    def test_shared_population_matches_scalar_model(self):
+        pop = ValueDistribution.case_study()
+        joint = build_multivariate_model(PiecewiseMechanism(), 0.1, 100, pop, ndim=3)
+        scalar = build_deviation_model(PiecewiseMechanism(), 0.1, 100, pop)
+        assert joint.deltas.tolist() == [scalar.delta] * 3
+        assert joint.sigmas.tolist() == [scalar.sigma] * 3
 
 
 @given(

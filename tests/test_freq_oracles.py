@@ -179,6 +179,33 @@ class TestAccuracy:
         predicted = oracle.estimation_variance(0.5, n)
         assert estimates.var(ddof=1) == pytest.approx(predicted, rel=0.5)
 
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_vector_variance_matches_scalar_calls_bitwise(self, name, rng):
+        oracle = get_oracle(name, 1.3, 9)
+        users = 777
+        freq = np.concatenate([rng.uniform(-0.2, 1.2, 50), [0.0, 1.0]])
+        vector = oracle.estimation_variance(freq, users)
+        scalar = [float(oracle.estimation_variance(float(f), users)) for f in freq]
+        p, q = oracle.support_probabilities
+
+        def textbook(f):
+            f = min(max(f, 0.0), 1.0)
+            hit = f * p + (1.0 - f) * q
+            return hit * (1.0 - hit) / (users * (p - q) ** 2)
+
+        assert [x.hex() for x in vector.tolist()] == [x.hex() for x in scalar]
+        assert scalar == [textbook(float(f)) for f in freq]
+
+    def test_support_probabilities(self):
+        eps, v = 1.0, 5
+        e = np.exp(eps)
+        grr = GeneralizedRandomizedResponse(eps, v).support_probabilities
+        oue = OptimizedUnaryEncoding(eps, v).support_probabilities
+        olh = OptimizedLocalHashing(eps, v)
+        assert grr == pytest.approx((e / (e + v - 1), 1 / (e + v - 1)))
+        assert oue == pytest.approx((0.5, 1 / (e + 1)))
+        assert olh.support_probabilities == (olh.p_true, 1.0 / olh.n_buckets)
+
     def test_oue_beats_grr_for_large_domains(self):
         # The classic crossover: GRR variance grows with v, OUE's doesn't.
         eps, n, v = 1.0, 10_000, 64

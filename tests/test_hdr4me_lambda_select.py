@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import CalibrationError
-from repro.framework import DeviationModel, MultivariateDeviationModel
+from repro.exceptions import CalibrationError, ParameterError
+from repro.framework import MultivariateDeviationModel
 from repro.hdr4me import (
     deviation_envelopes,
     improvement_guarantee,
@@ -16,12 +16,7 @@ from repro.hdr4me import (
 
 
 def _model(deltas, sigmas):
-    return MultivariateDeviationModel(
-        [
-            DeviationModel(delta=d, sigma=s, reports=100, epsilon=0.01)
-            for d, s in zip(deltas, sigmas)
-        ]
-    )
+    return MultivariateDeviationModel(deltas, sigmas)
 
 
 class TestEnvelopes:
@@ -31,11 +26,21 @@ class TestEnvelopes:
         assert env[0] == pytest.approx(3.0 * 1.0, rel=1e-3)
         assert env[1] == pytest.approx(0.5 + 3.0 * 2.0, rel=1e-3)
 
-    def test_accepts_model_or_sequence(self):
-        model = _model([0.0], [1.0])
-        np.testing.assert_allclose(
-            deviation_envelopes(model), deviation_envelopes(model.dimensions)
-        )
+    def test_matches_scipy_ppf_bitwise(self):
+        from scipy import stats
+
+        deltas = np.array([0.0, -0.5, 0.25, 1e-3])
+        sigmas = np.array([1.0, 2.0, 0.3, 7.5])
+        for confidence in (0.5, 0.9, 0.9973, 0.999999):
+            z = stats.norm.ppf(0.5 + confidence / 2.0)
+            expected = [abs(d) + z * s for d, s in zip(deltas, sigmas)]
+            env = deviation_envelopes(_model(deltas, sigmas), confidence)
+            assert [x.hex() for x in env.tolist()] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, float("nan")])
+    def test_invalid_confidence(self, confidence):
+        with pytest.raises(ParameterError):
+            deviation_envelopes(_model([0.0], [1.0]), confidence)
 
 
 class TestL1Lambda:

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CalibrationError
-from repro.framework import DeviationModel, MultivariateDeviationModel
-from repro.hdr4me import Recalibrator, recalibrate_l1, recalibrate_l2
+from repro.framework import MultivariateDeviationModel
+from repro.hdr4me import (
+    ProximalGradientSolver,
+    Recalibrator,
+    get_regularizer,
+    recalibrate_l1,
+    recalibrate_l2,
+)
 
 
 def _model(sigmas, deltas=None):
     deltas = deltas or [0.0] * len(sigmas)
-    return MultivariateDeviationModel(
-        [
-            DeviationModel(delta=d, sigma=s, reports=1000, epsilon=0.01)
-            for d, s in zip(deltas, sigmas)
-        ]
-    )
+    return MultivariateDeviationModel(deltas, sigmas)
 
 
 class TestConfiguration:
@@ -28,6 +29,11 @@ class TestConfiguration:
     def test_invalid_confidence(self):
         with pytest.raises(CalibrationError):
             Recalibrator(confidence=1.5)
+
+    @pytest.mark.parametrize("floor", [0.0, -0.1, float("nan"), float("inf")])
+    def test_invalid_floor_rejected_at_construction(self, floor):
+        with pytest.raises(CalibrationError):
+            Recalibrator(norm="l2", floor=floor)
 
     def test_dimension_mismatch(self):
         with pytest.raises(CalibrationError):
@@ -101,10 +107,11 @@ class TestPGDPath:
         model = _model(list(rng.uniform(0.5, 3.0, size=16)))
         theta = rng.normal(scale=4.0, size=16)
         closed = Recalibrator(norm=norm).recalibrate(theta, model)
-        iterative = Recalibrator(norm=norm, use_pgd=True).recalibrate(theta, model)
-        np.testing.assert_allclose(
-            closed.theta_star, iterative.theta_star, atol=1e-9
+        lambdas = Recalibrator(norm=norm).select_lambdas(theta, model)
+        iterative = ProximalGradientSolver(get_regularizer(norm)).solve(
+            theta, lambdas
         )
+        np.testing.assert_allclose(closed.theta_star, iterative.theta, atol=1e-9)
 
 
 class TestDeviationReduction:
