@@ -56,8 +56,38 @@ def validate_epsilon(epsilon: float) -> float:
     return eps
 
 
+#: Absolute tolerance past a domain endpoint: values within it are
+#: round-off from normalization and are clipped back, values beyond it are
+#: rejected.
+DOMAIN_ATOL = 1e-9
+
+
+def domain_violation(
+    block: np.ndarray, lows: np.ndarray, highs: np.ndarray, atol: float = DOMAIN_ATOL
+) -> Optional[Tuple[int, str]]:
+    """First column of an ``(n, k)`` block outside its ``[lows, highs]`` domain.
+
+    Returns ``(column, reason)``, or ``None`` when every column is finite
+    and inside its domain. Column minima and maxima carry NaN and
+    infinities through, so one pass each decides finiteness and range.
+    """
+    if not block.size:
+        return None
+    low, high = block.min(axis=0), block.max(axis=0)
+    finite = np.isfinite(low) & np.isfinite(high)
+    bad = ~finite | (low < lows - atol) | (high > highs + atol)
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    if not finite[j]:
+        return j, "values must be finite (found NaN or inf)"
+    return j, "values outside domain [%g, %g]: min=%g max=%g" % (
+        lows[j], highs[j], low[j], high[j]
+    )
+
+
 def validate_values(
-    values: np.ndarray, domain: Tuple[float, float], atol: float = 1e-9
+    values: np.ndarray, domain: Tuple[float, float], atol: float = DOMAIN_ATOL
 ) -> np.ndarray:
     """Check that ``values`` lie inside ``domain`` and return them as float64.
 
@@ -66,23 +96,20 @@ def validate_values(
     """
     arr = np.asarray(values, dtype=np.float64)
     lo, hi = domain
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DomainError("values must be finite (found NaN or inf)")
-    if arr.size and (arr.min() < lo - atol or arr.max() > hi + atol):
-        raise DomainError(
-            "values outside domain [%g, %g]: min=%g max=%g"
-            % (lo, hi, float(arr.min()), float(arr.max()))
-        )
+    violation = domain_violation(arr.reshape(-1, 1), np.array([lo]), np.array([hi]), atol)
+    if violation is not None:
+        raise DomainError(violation[1])
     return np.clip(arr, lo, hi)
 
 
 class Mechanism(abc.ABC):
     """Abstract one-dimensional ε-LDP perturbation mechanism.
 
-    Concrete subclasses provide vectorized sampling plus closed-form
-    conditional moments. All methods take the *per-dimension* budget — the
-    collection protocol (:mod:`repro.protocol`) is responsible for dividing
-    a collective budget ``ε`` by the number of reported dimensions ``m``.
+    Concrete subclasses provide vectorized sampling (:meth:`_sample`)
+    plus closed-form conditional moments. All methods take the
+    *per-dimension* budget — the collection protocol (:mod:`repro.protocol`)
+    is responsible for dividing a collective budget ``ε`` by the number of
+    reported dimensions ``m``.
     """
 
     #: Short registry name, e.g. ``"laplace"``.
@@ -96,11 +123,13 @@ class Mechanism(abc.ABC):
 
     # ------------------------------------------------------------------ API
 
-    @abc.abstractmethod
     def perturb(
         self, values: np.ndarray, epsilon: float, rng: RngLike = None
     ) -> np.ndarray:
         """Perturb ``values`` under ``epsilon``-LDP and return the noisy copy.
+
+        Validates the budget and the values, then draws through
+        :meth:`_sample`.
 
         Parameters
         ----------
@@ -110,6 +139,21 @@ class Mechanism(abc.ABC):
             Per-dimension privacy budget.
         rng:
             Seed or generator; see :func:`repro.rng.ensure_rng`.
+        """
+        eps = validate_epsilon(epsilon)
+        arr = validate_values(values, self.input_domain)
+        return self._sample(arr, eps, ensure_rng(rng))
+
+    @abc.abstractmethod
+    def _sample(
+        self, arr: np.ndarray, epsilon: float, gen: np.random.Generator
+    ) -> np.ndarray:
+        """Draw the perturbed copy of already-validated values.
+
+        ``arr`` is a float64 array inside :attr:`input_domain` and
+        ``epsilon`` a validated budget. Callers that validated their
+        input once at a boundary (the session collectors) call this
+        directly; the draws are the same as :meth:`perturb`'s.
         """
 
     @abc.abstractmethod
@@ -210,12 +254,10 @@ class AdditiveNoiseMechanism(Mechanism):
         """Return ``E[N]``; zero for every mechanism shipped here."""
         return 0.0
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, epsilon: float, gen: np.random.Generator
     ) -> np.ndarray:
-        eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        return arr + self.sample_noise(arr.shape, eps, rng)
+        return arr + self.sample_noise(arr.shape, epsilon, gen)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         eps = validate_epsilon(epsilon)
@@ -272,11 +314,13 @@ class AffineTransformedMechanism(Mechanism):
     def _to_outer(self, values: np.ndarray) -> np.ndarray:
         return self._slope * np.asarray(values, dtype=np.float64) + self._offset
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, epsilon: float, gen: np.random.Generator
     ) -> np.ndarray:
-        arr = validate_values(values, self.input_domain)
-        return self._to_outer(self.inner.perturb(self._to_inner(arr), epsilon, rng))
+        # The affine map can land an endpoint 1 ulp outside the inner
+        # domain; clip it back as the inner mechanism's own validation would.
+        inner = np.clip(self._to_inner(arr), *self.inner.input_domain)
+        return self._to_outer(self.inner._sample(inner, epsilon, gen))
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         inner_vals = self._to_inner(values)

@@ -17,8 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from ..rng import RngLike
+from .base import Mechanism, validate_epsilon
 
 
 class DuchiMechanism(Mechanism):
@@ -42,12 +42,9 @@ class DuchiMechanism(Mechanism):
         """Return ``(e^ε − 1)/(2(e^ε + 1)) = tanh(ε/2)/2`` (overflow-safe)."""
         return math.tanh(epsilon / 2.0) / 2.0
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, eps: float, gen: np.random.Generator
     ) -> np.ndarray:
-        eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        gen = ensure_rng(rng)
         big_c = self.magnitude(eps)
         prob_positive = 0.5 + arr * self._half_slope(eps)
         positive = gen.random(arr.shape) < prob_positive

@@ -25,8 +25,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from ..rng import RngLike
+from .base import Mechanism, validate_epsilon
 from .duchi import DuchiMechanism
 from .piecewise import PiecewiseMechanism
 
@@ -52,18 +52,15 @@ class HybridMechanism(Mechanism):
             return 0.0
         return 1.0 - math.exp(-eps / 2.0)
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, eps: float, gen: np.random.Generator
     ) -> np.ndarray:
-        eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        gen = ensure_rng(rng)
         alpha = self.mixing_probability(eps)
         if alpha == 0.0:
-            return self._duchi.perturb(arr, eps, gen)
+            return self._duchi._sample(arr, eps, gen)
         use_piecewise = gen.random(arr.shape) < alpha
-        piecewise_draw = self._piecewise.perturb(arr, eps, gen)
-        duchi_draw = self._duchi.perturb(arr, eps, gen)
+        piecewise_draw = self._piecewise._sample(arr, eps, gen)
+        duchi_draw = self._duchi._sample(arr, eps, gen)
         return np.where(use_piecewise, piecewise_draw, duchi_draw)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:

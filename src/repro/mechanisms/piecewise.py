@@ -23,8 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from .base import Mechanism, validate_epsilon
 
 
 class PiecewiseMechanism(Mechanism):
@@ -54,12 +53,9 @@ class PiecewiseMechanism(Mechanism):
         left = (big_q + 1.0) / 2.0 * arr - (big_q - 1.0) / 2.0
         return left, left + big_q - 1.0
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, eps: float, gen: np.random.Generator
     ) -> np.ndarray:
-        eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        gen = ensure_rng(rng)
         big_q = self.boundary(eps)
         left, right = self.center_interval(arr, eps)
         # Total mass of the centre interval integrates to

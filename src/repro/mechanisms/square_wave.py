@@ -22,13 +22,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ..rng import RngLike, ensure_rng
 from .base import (
     AffineTransformedMechanism,
     Mechanism,
     STANDARD_DOMAIN,
     validate_epsilon,
-    validate_values,
 )
 
 
@@ -60,12 +58,9 @@ class SquareWaveMechanism(Mechanism):
         # b = (b e^ε) · e^{−ε}; underflows gracefully to 0 for huge ε.
         return cls._b_exp(eps) * math.exp(-eps)
 
-    def perturb(
-        self, values: np.ndarray, epsilon: float, rng: RngLike = None
+    def _sample(
+        self, arr: np.ndarray, eps: float, gen: np.random.Generator
     ) -> np.ndarray:
-        eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        gen = ensure_rng(rng)
         b = self.half_width(eps)
         b_exp = self._b_exp(eps)
         prob_center = 2.0 * b_exp / (2.0 * b_exp + 1.0)

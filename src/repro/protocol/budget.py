@@ -11,6 +11,7 @@ experiment shares one implementation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..exceptions import DimensionError, PrivacyBudgetError
@@ -37,6 +38,14 @@ class BudgetPlan:
 
     def __post_init__(self) -> None:
         validate_epsilon(self.epsilon)
+        for name in ("dimensions", "sampled_dimensions"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DimensionError(
+                    "%s must be an integer, got %r" % (name, value)
+                ) from None
         if self.dimensions < 1:
             raise DimensionError(
                 "dimensions must be >= 1, got %d" % self.dimensions

@@ -43,7 +43,7 @@ from ..framework.multivariate import (
 from ..framework.population import DEFAULT_BINS, ValueDistribution
 from ..hdr4me.frequency import FrequencyEstimate
 from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
-from ..mechanisms.base import Mechanism, validate_values
+from ..mechanisms.base import Mechanism
 from ..rng import RngLike, ensure_rng
 from .budget import BudgetPlan
 from .server import AggregationResult
@@ -174,7 +174,7 @@ class MeanEstimationPipeline:
             Seed or generator for sampling and perturbation.
         """
         gen = ensure_rng(rng)
-        matrix = validate_values(data, self.mechanism.input_domain)
+        matrix = np.asarray(data)
         if matrix.ndim != 2 or matrix.shape[1] != self.plan.dimensions:
             raise DimensionError(
                 "expected (n, %d) data, got %s"
@@ -285,7 +285,7 @@ class FrequencyEstimationPipeline:
         if not counts:
             raise DimensionError("need at least one categorical dimension")
         d = len(counts)
-        m = d if sampled_dimensions is None else int(sampled_dimensions)
+        m = d if sampled_dimensions is None else sampled_dimensions
         self.plan = BudgetPlan(epsilon=epsilon, dimensions=d, sampled_dimensions=m)
         self.category_counts = counts
         self.mechanism = mechanism

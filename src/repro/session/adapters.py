@@ -100,7 +100,12 @@ class AttributeCollector(abc.ABC):
 
     @abc.abstractmethod
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
-        """Perturb the contributing users' values into a report payload."""
+        """Perturb the contributing users' values into a report payload.
+
+        ``values`` is a float64 column already validated against the
+        attribute (:meth:`repro.session.Schema.validate_matrix`); it is
+        not checked again here.
+        """
 
     # -------------------------------------------------------------- server
 
@@ -271,9 +276,7 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
         self.mechanism = mechanism
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        column = self.attribute.validate_column(values)
-        return self.mechanism.perturb(column, self.epsilon, gen)
+        return self.mechanism._sample(values, self.epsilon, ensure_rng(rng))
 
     def new_state(self) -> _NumericState:
         return _NumericState()
@@ -351,10 +354,10 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
         self.epsilon_per_entry = self.epsilon / 2.0
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        labels = self.attribute.validate_column(values)
-        encoded = one_hot_encode(labels, self.attribute.n_categories)
-        return self.mechanism.perturb(encoded, self.epsilon_per_entry, gen)
+        encoded = one_hot_encode(values.astype(np.int64), self.attribute.n_categories)
+        return self.mechanism._sample(
+            encoded, self.epsilon_per_entry, ensure_rng(rng)
+        )
 
     def new_state(self) -> _HistogramState:
         return _HistogramState(self.attribute.n_categories)
@@ -461,8 +464,7 @@ class OracleCollector(AttributeCollector):
         self.oracle = self.oracle_cls(self.epsilon, attribute.n_categories)
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
-        labels = self.attribute.validate_column(values)
-        return self.oracle.privatize(labels, rng)
+        return self.oracle.privatize(values.astype(np.int64), rng)
 
     def new_state(self) -> _OracleState:
         return _OracleState(self.attribute.n_categories)

@@ -41,8 +41,14 @@ def sample_attribute_mask(
     """Boolean ``(users, d)`` mask with exactly ``m`` True per row.
 
     Uniform without-replacement sampling, vectorized via argpartition of
-    i.i.d. scores — every size-``m`` subset is equally likely.
+    i.i.d. scores — every size-``m`` subset is equally likely. Needs
+    ``users ≥ 0`` and ``1 ≤ sampled ≤ dimensions``.
     """
+    if users < 0 or not 1 <= sampled <= dimensions:
+        raise DimensionError(
+            "need users >= 0 and 1 <= sampled <= dimensions, got users=%d, "
+            "sampled=%d, dimensions=%d" % (users, sampled, dimensions)
+        )
     if sampled == dimensions:
         return np.ones((users, dimensions), dtype=bool)
     scores = gen.random((users, dimensions))
@@ -201,11 +207,7 @@ class LDPClient:
         sampled_attributes: Optional[int] = None,
         protocols: ProtocolSpec = None,
     ) -> None:
-        m = (
-            schema.dimensions
-            if sampled_attributes is None
-            else int(sampled_attributes)
-        )
+        m = schema.dimensions if sampled_attributes is None else sampled_attributes
         self.schema = schema
         self.plan = BudgetPlan(
             epsilon=epsilon, dimensions=schema.dimensions, sampled_dimensions=m
@@ -216,27 +218,35 @@ class LDPClient:
         )
 
     def report_batch(self, records: np.ndarray, rng: RngLike = None) -> ReportBatch:
-        """Sample, perturb and package an ``(n, d)`` batch of records."""
+        """Sample, perturb and package an ``(n, d)`` batch of records.
+
+        The whole matrix is validated once, unsampled values included.
+        The sampled values are gathered in one pass, grouped by attribute
+        in schema order and by user within an attribute, and each
+        attribute's slice is privatized in schema order — the order the
+        generator's draws are consumed in.
+        """
         gen = ensure_rng(rng)
         matrix = self.schema.validate_matrix(records)
         users = matrix.shape[0]
         mask = sample_attribute_mask(
             users, self.plan.dimensions, self.plan.sampled_dimensions, gen
         )
+        columns, rows = np.nonzero(mask.T)
+        values = matrix[rows, columns]
+        ends = np.cumsum(np.bincount(columns, minlength=self.plan.dimensions))
         payloads: Dict[str, Any] = {}
         counts: Dict[str, int] = {}
         protocols: Dict[str, str] = {}
-        for j, attr in enumerate(self.schema):
-            contributors = mask[:, j]
-            count = int(contributors.sum())
-            if count == 0:
+        start = 0
+        for attr, end in zip(self.schema, ends.tolist()):
+            if end == start:
                 continue
             collector = self.collectors[attr.name]
-            payloads[attr.name] = collector.privatize(
-                matrix[contributors, j], gen
-            )
-            counts[attr.name] = count
+            payloads[attr.name] = collector.privatize(values[start:end], gen)
+            counts[attr.name] = end - start
             protocols[attr.name] = collector.protocol_name
+            start = end
         return ReportBatch(
             users=users, payloads=payloads, counts=counts, protocols=protocols
         )

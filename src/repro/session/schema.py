@@ -19,12 +19,53 @@ float matrices in schema order; categorical columns hold integer labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
-from ..mechanisms.base import STANDARD_DOMAIN
+from ..mechanisms.base import DOMAIN_ATOL, STANDARD_DOMAIN, domain_violation
+
+
+#: ``(column within the block, reason)`` of a block's first bad column.
+Violation = Optional[Tuple[int, str]]
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as float64; strings, complex numbers and objects are refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError("%s must be real numbers, got dtype %s" % (what, arr.dtype))
+    return arr.astype(np.float64, copy=False)
+
+
+def _categorical_violation(block: np.ndarray, n_categories: np.ndarray) -> Violation:
+    """First column of an ``(n, k)`` block that is not labels in ``[0, v)``.
+
+    The range is checked on the floats, so a label too large for ``int64``
+    is rejected before any cast.
+    """
+    if not block.size:
+        return None
+    low, high = block.min(axis=0), block.max(axis=0)
+    finite = np.isfinite(low) & np.isfinite(high)
+    with np.errstate(invalid="ignore"):
+        integral = (np.abs(block - np.rint(block)) <= 1e-9).all(axis=0)
+    in_range = (np.rint(low) >= 0) & (np.rint(high) < n_categories)
+    bad = ~(finite & integral & in_range)
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    if not finite[j]:
+        return j, "labels must be finite integers"
+    if not integral[j]:
+        return j, "labels must be integers"
+    return j, "labels must lie in [0, %d)" % n_categories[j]
+
+
+def _raise(name: str, violation: Violation) -> None:
+    if violation is not None:
+        raise DomainError("attribute %r: %s" % (name, violation[1]))
 
 
 @dataclass(frozen=True)
@@ -57,20 +98,14 @@ class NumericAttribute:
             )
         object.__setattr__(self, "domain", (lo, hi))
 
-    def validate_column(self, column: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    def validate_column(self, column: np.ndarray, atol: float = DOMAIN_ATOL) -> np.ndarray:
         """Validate one data column against the domain; return float64."""
-        arr = np.asarray(column, dtype=np.float64)
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise DomainError(
-                "attribute %r: values must be finite (found NaN or inf)"
-                % self.name
-            )
+        arr = _real_array(column, "attribute %r: values" % self.name)
         lo, hi = self.domain
-        if arr.size and (arr.min() < lo - atol or arr.max() > hi + atol):
-            raise DomainError(
-                "attribute %r: values outside domain [%g, %g]: min=%g max=%g"
-                % (self.name, lo, hi, float(arr.min()), float(arr.max()))
-            )
+        _raise(
+            self.name,
+            domain_violation(arr.reshape(-1, 1), np.array([lo]), np.array([hi]), atol),
+        )
         return np.clip(arr, lo, hi)
 
 
@@ -103,24 +138,12 @@ class CategoricalAttribute:
 
     def validate_column(self, column: np.ndarray) -> np.ndarray:
         """Validate one label column; return int64 labels."""
-        arr = np.asarray(column)
-        if arr.size and not np.all(np.isfinite(np.asarray(arr, dtype=np.float64))):
-            raise DomainError(
-                "attribute %r: labels must be finite integers" % self.name
-            )
-        labels = np.asarray(arr, dtype=np.float64)
-        rounded = np.rint(labels)
-        if labels.size and np.any(np.abs(labels - rounded) > 1e-9):
-            raise DomainError(
-                "attribute %r: labels must be integers" % self.name
-            )
-        out = rounded.astype(np.int64)
-        if out.size and (out.min() < 0 or out.max() >= self.n_categories):
-            raise DomainError(
-                "attribute %r: labels must lie in [0, %d)"
-                % (self.name, self.n_categories)
-            )
-        return out
+        arr = _real_array(column, "attribute %r: labels" % self.name)
+        _raise(
+            self.name,
+            _categorical_violation(arr.reshape(-1, 1), np.array([self.n_categories])),
+        )
+        return np.rint(arr).astype(np.int64)
 
 
 Attribute = Union[NumericAttribute, CategoricalAttribute]
@@ -152,6 +175,17 @@ class Schema:
                     "unsupported attribute type: %r" % (attr,)
                 )
         object.__setattr__(self, "attributes", attrs)
+        # The validation kernels' per-column inputs, fixed with the schema.
+        numeric = [j for j, a in enumerate(attrs) if a.kind == "numeric"]
+        categorical = [j for j, a in enumerate(attrs) if a.kind == "categorical"]
+        for name, value in (
+            ("_numeric", np.array(numeric, dtype=np.intp)),
+            ("_lows", np.array([attrs[j].domain[0] for j in numeric])),
+            ("_highs", np.array([attrs[j].domain[1] for j in numeric])),
+            ("_categorical", np.array(categorical, dtype=np.intp)),
+            ("_n_categories", np.array([attrs[j].n_categories for j in categorical])),
+        ):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------- structure
 
@@ -168,12 +202,12 @@ class Schema:
     @property
     def numeric_indices(self) -> List[int]:
         """Column indices of the numeric attributes."""
-        return [j for j, a in enumerate(self.attributes) if a.kind == "numeric"]
+        return self._numeric.tolist()
 
     @property
     def categorical_indices(self) -> List[int]:
         """Column indices of the categorical attributes."""
-        return [j for j, a in enumerate(self.attributes) if a.kind == "categorical"]
+        return self._categorical.tolist()
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -196,12 +230,13 @@ class Schema:
     # ------------------------------------------------------------ validation
 
     def validate_matrix(self, records: np.ndarray) -> np.ndarray:
-        """Validate an ``(n, d)`` record matrix column-by-column.
+        """Validate an ``(n, d)`` record matrix, one block per attribute kind.
 
         Returns a float64 copy whose numeric columns are clipped to their
         domains and whose categorical columns hold exact integer labels.
+        A violation names the first offending attribute in column order.
         """
-        matrix = np.asarray(records, dtype=np.float64)
+        matrix = _real_array(records, "records")
         if matrix.ndim == 1 and self.dimensions == 1:
             matrix = matrix[:, None]
         if matrix.ndim != 2 or matrix.shape[1] != self.dimensions:
@@ -209,14 +244,31 @@ class Schema:
                 "expected (n, %d) records for schema [%s], got %s"
                 % (self.dimensions, ", ".join(self.names), np.shape(records))
             )
+        all_numeric = not self._categorical.size
+        numeric = matrix if all_numeric else matrix[:, self._numeric]
+        labels = matrix[:, self._categorical]
+        found = []
+        for columns, violation in (
+            (self._numeric, domain_violation(numeric, self._lows, self._highs)),
+            (self._categorical, _categorical_violation(labels, self._n_categories)),
+        ):
+            if violation is not None:
+                found.append((columns[violation[0]], violation[1]))
+        if found:
+            column, reason = min(found)
+            raise DomainError(
+                "attribute %r: %s" % (self.attributes[column].name, reason)
+            )
+        if all_numeric:
+            return np.clip(matrix, self._lows, self._highs)
         out = np.empty_like(matrix)
-        for j, attr in enumerate(self.attributes):
-            out[:, j] = attr.validate_column(matrix[:, j])
+        out[:, self._numeric] = np.clip(numeric, self._lows, self._highs)
+        out[:, self._categorical] = np.rint(labels)
         return out
 
     def validate_record(self, record: np.ndarray) -> np.ndarray:
         """Validate a single ``d``-dimensional record (1-D)."""
-        arr = np.asarray(record, dtype=np.float64).ravel()
+        arr = _real_array(record, "record").ravel()
         if arr.size != self.dimensions:
             raise DimensionError(
                 "record must have %d attributes, got shape %s"

@@ -169,11 +169,7 @@ class LDPServer:
         sampled_attributes: Optional[int] = None,
         protocols: ProtocolSpec = None,
     ) -> None:
-        m = (
-            schema.dimensions
-            if sampled_attributes is None
-            else int(sampled_attributes)
-        )
+        m = schema.dimensions if sampled_attributes is None else sampled_attributes
         self.schema = schema
         self.plan = BudgetPlan(
             epsilon=epsilon, dimensions=schema.dimensions, sampled_dimensions=m

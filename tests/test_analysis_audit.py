@@ -59,8 +59,8 @@ class TestAuditorCatchesViolations:
             name = "leaky"
             bounded = True
 
-            def perturb(self, values, epsilon, rng=None):
-                return np.asarray(values, dtype=np.float64)
+            def _sample(self, arr, epsilon, gen):
+                return arr
 
             def conditional_bias(self, values, epsilon):
                 return np.zeros_like(np.asarray(values, dtype=np.float64))
