@@ -217,13 +217,22 @@ class SumStateMixin:
     Subclasses set :attr:`state_kind` (the snapshot family tag) and
     override :meth:`_sum_width` when the state is wider than one column;
     the state object returned by ``new_state`` must carry its accumulator
-    in a ``sums`` attribute.
+    in a ``sums`` attribute. :meth:`sum_block` exposes the block
+    :meth:`fold` adds, so a server can fold every sum-backed attribute of
+    a batch in one :func:`~repro.session.streaming.add_blocks` call.
     """
 
     state_kind: str = "sum"
 
     def _sum_width(self) -> int:
         return 1
+
+    def sum_block(self, payload: np.ndarray) -> np.ndarray:
+        """The ``(k, width)`` block a canonical payload adds to ``sums``."""
+        return payload
+
+    def fold(self, state: Any, payload: np.ndarray) -> None:
+        state.sums.add(self.sum_block(payload), assume_finite=True)
 
     def merge_states(self, state: Any, other: Any) -> None:
         state.sums.merge(other.sums)
@@ -295,8 +304,8 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
             )
         return arr
 
-    def fold(self, state: _NumericState, payload: np.ndarray) -> None:
-        state.sums.add(payload[:, None], assume_finite=True)
+    def sum_block(self, payload: np.ndarray) -> np.ndarray:
+        return payload[:, None]
 
     def reports(self, state: _NumericState) -> int:
         return state.sums.rows
@@ -375,9 +384,6 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
                 % self.attribute.name
             )
         return matrix
-
-    def fold(self, state: _HistogramState, payload: np.ndarray) -> None:
-        state.sums.add(payload, assume_finite=True)
 
     def reports(self, state: _HistogramState) -> int:
         return state.sums.rows

@@ -78,10 +78,14 @@ def resolve_collectors(
             % (plan.dimensions, schema.dimensions)
         )
 
+    resolved: Dict[str, CollectionProtocol] = {}
+
     def _as_protocol(spec: Union[str, CollectionProtocol]) -> CollectionProtocol:
-        if isinstance(spec, str):
-            return get_protocol(spec)
-        return spec
+        if not isinstance(spec, str):
+            return spec
+        if spec not in resolved:
+            resolved[spec] = get_protocol(spec)
+        return resolved[spec]
 
     per_attribute: Dict[str, Union[str, CollectionProtocol]] = {}
     if protocols is None or isinstance(protocols, (str, CollectionProtocol)):

@@ -35,8 +35,10 @@ from ..framework.multivariate import MultivariateDeviationModel
 from ..protocol.budget import BudgetPlan
 from ..wire.codec import decode_batch
 from ..wire.contract import CollectionContract
+from .adapters import SumStateMixin
 from .client import ProtocolSpec, ReportBatch, resolve_collectors
 from .schema import Schema
+from .streaming import add_blocks
 
 #: Identifier and version of the JSON checkpoint documents written by
 #: :meth:`LDPServer.save_state`.
@@ -324,9 +326,20 @@ class LDPServer:
         return canonical
 
     def _fold_validated(self, users: int, canonical: Mapping[str, Any]) -> None:
-        """Accumulate one batch's canonical payloads (validation done)."""
+        """Accumulate one batch's canonical payloads (validation done).
+
+        Every sum-backed attribute is folded by one
+        :func:`~repro.session.streaming.add_blocks` call; oracle
+        collectors fold their own counts.
+        """
+        blocks = []
         for name, payload in canonical.items():
-            self.collectors[name].fold(self._states[name], payload)
+            collector = self.collectors[name]
+            if isinstance(collector, SumStateMixin):
+                blocks.append((self._states[name].sums, collector.sum_block(payload)))
+            else:
+                collector.fold(self._states[name], payload)
+        add_blocks(blocks)
         self._users += users
         if self.telemetry is not None:
             self._m_batches_folded.inc()

@@ -8,12 +8,9 @@ across shards and in which order the shards were merged.
 
 :class:`StreamingSum` removes the problem at the root: it accumulates the
 **exact** sum. Every float64 is an integer multiple of ``2**-1074``, so a
-column sum is representable as one arbitrary-precision integer; the
-accumulator decomposes incoming values into (mantissa, exponent) pairs
-with :func:`numpy.frexp`, reduces them bin-by-exponent with exact
-float-integer arithmetic, and folds the bins into one Python big int per
-column. :meth:`value` rounds the exact integer sum to the nearest float64
-(integer true division is correctly rounded).
+column sum is representable as one arbitrary-precision integer.
+:meth:`StreamingSum.value` rounds the exact integer sum to the nearest
+float64 (integer true division is correctly rounded).
 
 Consequences, all load-bearing for the distributed collection API:
 
@@ -25,23 +22,36 @@ Consequences, all load-bearing for the distributed collection API:
   shard-merged estimate is bit-identical to one-shot ingestion, and a
   snapshot/restore cycle resumes a round without losing a single ulp.
 
-The decomposition is vectorized (``frexp``/``ldexp``/``bincount``); the
-only Python-level work is one loop over the few dozen occupied exponent
-bins per ``add`` call.
+One vectorized kernel computes the exact sums of ragged columns (flat
+values plus a column id per value), so :func:`add_blocks` can fold every
+sum-backed attribute of a batch in one call. Each pass of the kernel:
+
+1. splits values with :func:`numpy.frexp` into 53-bit integer mantissas
+   at known exponents, and each mantissa into 27-bit high/low halves;
+2. reduces the halves with two :func:`numpy.bincount` calls keyed by
+   (column, exponent bin) — exact, since partial sums stay below 2**53;
+3. turns each column's bins into 32-bit limbs with ``int64`` arithmetic
+   and one carry pass over the limbs;
+4. builds each column's integer with one :meth:`int.from_bytes` and one
+   shift.
+
+A pass takes at most :data:`_PASS_VALUES` values and a (column, bit)
+table of at most :data:`_PASS_CELLS` cells, so the working set stays
+small however large the batch; a column may straddle passes, since each
+pass adds its partial sums exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import AggregationError, DimensionError, DomainError, WireFormatError
 
 #: ``frexp`` exponents of finite float64 values lie in [-1073, 1024];
-#: shifting by the offset makes every bin index non-negative.
+#: shifting by the offset makes every bit position non-negative.
 _EXPONENT_OFFSET = 1073
-_BIN_COUNT = 2098
 
 #: Accumulators store ``sum * 2**_SCALE_BITS`` as exact integers: a
 #: mantissa contributes ``m * 2**(e - 53)``, i.e. ``m << (e + 1073)``
@@ -49,14 +59,120 @@ _BIN_COUNT = 2098
 _SCALE_BITS = _EXPONENT_OFFSET + 53
 _SCALE_DEN = 1 << _SCALE_BITS
 
-#: Mantissas are split into 27-bit halves so :func:`numpy.bincount` can
-#: reduce them in float64 without rounding: partial sums stay integers
-#: below 2**53 for any block up to ``_MAX_BLOCK`` rows.
+#: 53-bit mantissas are split into 27-bit halves so :func:`numpy.bincount`
+#: reduces them in float64 without rounding.
 _SPLIT_BITS = 27
-_MAX_BLOCK = 1 << 24
+
+#: Values per kernel pass. With at most 2**16 halves per bin, every bin
+#: sum stays below 2**43: exact in float64 and in ``int64``.
+_PASS_VALUES = 1 << 16
+
+#: Cells of one pass's (column, bit position) table, so a pass over many
+#: columns with a wide exponent spread still has a small working set.
+_PASS_CELLS = 1 << 18
+
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 #: Identifier stamped into (and required from) state dictionaries.
 STATE_KIND = "exact-sum"
+
+
+def _exact_column_sums(
+    values: np.ndarray, columns: np.ndarray, width: int
+) -> List[int]:
+    """Exact sums of ragged columns, scaled by ``2**_SCALE_BITS``.
+
+    ``values[i]`` (finite float64) belongs to column ``columns[i]``;
+    ``columns`` is non-decreasing, so each column's values are
+    contiguous. Returns one Python int per column, 0 for empty ones.
+    """
+    totals = [0] * width
+    start, count = 0, values.shape[0]
+    while start < count:
+        stop = min(start + _PASS_VALUES, count)
+        mantissa, exponent = np.frexp(values[start:stop])
+        base = int(exponent.min())
+        span = int(exponent.max()) - base + 1
+        limbs = -(-(span + _SPLIT_BITS) // _LIMB_BITS)
+        first = int(columns[start])
+        limit = first + max(1, _PASS_CELLS // (limbs * _LIMB_BITS))
+        if int(columns[stop - 1]) >= limit:
+            stop = start + int(np.searchsorted(columns[start:stop], limit))
+            mantissa, exponent = mantissa[: stop - start], exponent[: stop - start]
+        used = int(columns[stop - 1]) - first + 1
+        # Exact: frexp mantissas lie in ±[0.5, 1) with 53 significant
+        # bits, so scaled by 2**26 the floor is the high half of the
+        # integer mantissa m * 2**53 and the remainder is its low 27 bits
+        # over 2**27. Bin sums of <= 2**16 halves stay below 2**43.
+        low = np.multiply(mantissa, float(1 << (53 - _SPLIT_BITS)), out=mantissa)
+        high = np.floor(low)
+        low -= high
+        index = columns[start:stop] * span
+        index += exponent
+        index -= first * span + base
+        size = used * span
+        # bits[c, p]: the integer coefficient of 2**p in column c's sum
+        # (relative to 2**(base + _EXPONENT_OFFSET)); |bits| < 2**44.
+        bits = np.zeros((used, limbs * _LIMB_BITS), dtype=np.int64)
+        for weights, scale, at in ((low, 1 << _SPLIT_BITS, 0), (high, 1, _SPLIT_BITS)):
+            sums = np.bincount(index, weights=weights, minlength=size) * scale
+            bits[:, at : at + span] += sums.astype(np.int64).reshape(used, span)
+        # Spread each coefficient over 32-bit limbs: position p = 32q + r
+        # lands in limbs q, q+1 (low word) and q+1, q+2 (high word).
+        bits = bits.reshape(used, limbs, _LIMB_BITS)
+        offsets = np.arange(_LIMB_BITS, dtype=np.int64)
+        low_word = (bits & _LIMB_MASK) << offsets
+        high_word = (bits >> _LIMB_BITS) << offsets
+        acc = np.zeros((used, limbs + 2), dtype=np.int64)
+        acc[:, :limbs] += (low_word & _LIMB_MASK).sum(axis=2)
+        acc[:, 1 : limbs + 1] += (low_word >> _LIMB_BITS).sum(axis=2)
+        acc[:, 1 : limbs + 1] += (high_word & _LIMB_MASK).sum(axis=2)
+        acc[:, 2:] += (high_word >> _LIMB_BITS).sum(axis=2)
+        for limb in range(limbs + 1):
+            acc[:, limb + 1] += acc[:, limb] >> _LIMB_BITS
+            acc[:, limb] &= _LIMB_MASK
+        # Two limbs of headroom keep the top limb in [-2**31, 2**31), so
+        # its low 32 bits are the two's-complement sign word.
+        raw = memoryview((acc & _LIMB_MASK).astype("<u4").tobytes())
+        step = 4 * (limbs + 2)
+        shift = base + _EXPONENT_OFFSET
+        for column in range(used):
+            part = int.from_bytes(
+                raw[column * step : (column + 1) * step], "little", signed=True
+            )
+            totals[first + column] += part << shift
+        start = stop
+    return totals
+
+
+def add_blocks(pairs: Sequence[Tuple["StreamingSum", np.ndarray]]) -> None:
+    """Exactly add each ``(k, width)`` block to its accumulator.
+
+    All blocks go through one :func:`_exact_column_sums` call. The blocks
+    must already be finite float64 arrays of their accumulator's width
+    (:meth:`StreamingSum.add` checks; the server passes payloads its
+    collectors validated) — a NaN would corrupt a sum silently.
+    """
+    pairs = [(acc, block) for acc, block in pairs if block.shape[0]]
+    if not pairs:
+        return
+    values = np.concatenate([block.T.reshape(-1) for _, block in pairs])
+    lengths = np.repeat(
+        [block.shape[0] for _, block in pairs], [acc.width for acc, _ in pairs]
+    )
+    columns = np.repeat(np.arange(lengths.shape[0]), lengths)
+    totals = _exact_column_sums(values, columns, lengths.shape[0])
+    offset = 0
+    for acc, block in pairs:
+        for column in range(acc.width):
+            acc._acc[column] += totals[offset + column]
+        acc._rows += block.shape[0]
+        offset += acc.width
+
+
+def _strict_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class StreamingSum:
@@ -65,13 +181,16 @@ class StreamingSum:
     Parameters
     ----------
     width:
-        Number of columns being summed.
+        Number of columns being summed (an integer >= 1).
     """
 
     def __init__(self, width: int) -> None:
+        if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
+            raise DimensionError("width must be an integer, got %r" % (width,))
+        width = int(width)
         if width < 1:
             raise DimensionError("width must be >= 1, got %d" % width)
-        self.width = int(width)
+        self.width = width
         self._acc: List[int] = [0] * self.width
         self._rows = 0
 
@@ -94,49 +213,9 @@ class StreamingSum:
             raise DimensionError(
                 "expected (k, %d) rows, got %s" % (self.width, block.shape)
             )
-        if block.shape[0] == 0:
-            return
         if not assume_finite and not np.all(np.isfinite(block)):
             raise DomainError("cannot accumulate non-finite values")
-        for start in range(0, block.shape[0], _MAX_BLOCK):
-            self._add_block(block[start : start + _MAX_BLOCK])
-        self._rows += block.shape[0]
-
-    def _add_block(self, block: np.ndarray) -> None:
-        """Exactly fold one ``(k <= _MAX_BLOCK, width)`` block.
-
-        Every step below is exact in float64: ``m * 2**53`` is an
-        integer with <= 53 significant bits (frexp mantissas lie in
-        ±[0.5, 1)), splitting it at bit 27 uses only power-of-two
-        scalings and differences of exactly representable integers, and
-        the bincount reductions sum integers far below 2**53.
-        """
-        mantissa, exponent = np.frexp(block)
-        m53 = mantissa * float(1 << 53)
-        high = np.floor(m53 * (1.0 / (1 << _SPLIT_BITS)))
-        low = m53 - high * float(1 << _SPLIT_BITS)
-        # One bincount over (exponent, column) pairs, windowed to the
-        # exponent range actually present in the block.
-        base = int(exponent.min())
-        span = int(exponent.max()) - base + 1
-        index = (
-            (exponent - base) * self.width
-            + np.arange(self.width, dtype=exponent.dtype)
-        ).ravel()
-        high_sums = np.bincount(
-            index, weights=high.ravel(), minlength=span * self.width
-        )
-        low_sums = np.bincount(
-            index, weights=low.ravel(), minlength=span * self.width
-        )
-        occupied = np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0))
-        shift_base = base + _EXPONENT_OFFSET
-        for flat in occupied.tolist():
-            contribution = (int(high_sums[flat]) << _SPLIT_BITS) + int(
-                low_sums[flat]
-            )
-            column = flat % self.width
-            self._acc[column] += contribution << (flat // self.width + shift_base)
+        add_blocks([(self, block)])
 
     def value(self) -> np.ndarray:
         """Current column sums (does not mutate the accumulator).
@@ -193,22 +272,28 @@ class StreamingSum:
             raise WireFormatError(
                 "not a %r state dictionary: %r" % (STATE_KIND, state)
             )
-        if state.get("scale_bits") != _SCALE_BITS:
+        fields = {key: state.get(key) for key in ("scale_bits", "width", "rows")}
+        sums = state.get("sums")
+        if not (
+            all(_strict_int(value) for value in fields.values())
+            and isinstance(sums, list)
+            and all(_strict_int(total) for total in sums)
+        ):
             raise WireFormatError(
-                "unsupported accumulator scale %r" % state.get("scale_bits")
+                "malformed accumulator state: scale_bits, width, rows and "
+                "every sum must be an int"
             )
-        try:
-            width = int(state["width"])
-            rows = int(state["rows"])
-            sums = [int(total) for total in state["sums"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireFormatError("malformed accumulator state: %s" % exc) from None
-        if len(sums) != width or rows < 0:
+        if fields["scale_bits"] != _SCALE_BITS:
+            raise WireFormatError(
+                "unsupported accumulator scale %r" % fields["scale_bits"]
+            )
+        width, rows = fields["width"], fields["rows"]
+        if width < 1 or len(sums) != width or rows < 0 or (rows == 0 and any(sums)):
             raise WireFormatError(
                 "accumulator state is inconsistent: width=%d, %d sums, rows=%d"
                 % (width, len(sums), rows)
             )
         restored = cls(width)
-        restored._acc = sums
+        restored._acc = list(sums)
         restored._rows = rows
         return restored

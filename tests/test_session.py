@@ -187,6 +187,46 @@ class TestUnifiedRegistry:
             _PROTOCOLS.pop("custom_test_protocol", None)
 
 
+class TestResolveCollectors:
+    def test_each_distinct_name_resolved_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.mechanisms import registry
+
+        calls = Counter()
+        original = registry.get_protocol
+
+        def counting(name):
+            calls[name] += 1
+            return original(name)
+
+        monkeypatch.setattr(registry, "get_protocol", counting)
+        schema = Schema(
+            [NumericAttribute("x%d" % i) for i in range(6)]
+            + [CategoricalAttribute("c%d" % i, 3) for i in range(3)]
+        )
+        LDPServer(schema, 1.0, protocols={"c0": "oue", "c1": "oue"})
+        assert calls == Counter({"piecewise": 1, "oue": 1})
+
+    def test_contract_fingerprint_unchanged(self):
+        """Digests recorded before protocol names were resolved once."""
+        wide = Schema([NumericAttribute("a%d" % i) for i in range(750)])
+        by_name = LDPServer(wide, 1.0, 750, "piecewise").contract.digest
+        shared = LDPServer(wide, 1.0, 750, get_protocol("piecewise")).contract.digest
+        assert by_name == shared
+        assert by_name.hex() == "f2bb94f67c176b7b26cf72483f2895cd"
+        mixed = Schema(
+            [
+                NumericAttribute("x", (0.0, 10.0)),
+                CategoricalAttribute("c", 5),
+                CategoricalAttribute("o", 4),
+            ]
+        )
+        spec = {"x": "laplace", "c": "piecewise", "o": "oue"}
+        digest = LDPServer(mixed, 2.0, 2, spec).contract.digest
+        assert digest.hex() == "e38477cbe8dbe64ebd90a65c9a1c7ccb"
+
+
 class TestClient:
     def test_single_report_spends_exactly_m(self, rng):
         client = LDPClient(MIXED, epsilon=1.0, sampled_attributes=2)
