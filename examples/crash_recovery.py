@@ -70,16 +70,21 @@ def sender_id(seed: int) -> bytes:
 
 
 async def crash(gateway) -> None:
-    """Kill the gateway the unkind way: sockets torn, nothing saved."""
+    """Kill the gateway the unkind way: sockets torn, nothing saved.
+
+    The listener and the open connections are the shared ingest core's
+    (``repro.transport.ingest.IngestServer``); the shard consumers are
+    the gateway's own. Tearing both down without ``stop()`` skips the
+    drain and the final checkpoint, exactly like SIGKILL.
+    """
     tcp, gateway._tcp = gateway._tcp, None
     tcp.close()
     for writer in list(gateway._writers):
         writer.transport.abort()
-    if gateway._connections:
-        await asyncio.gather(*gateway._connections, return_exceptions=True)
-    for consumer in gateway._consumers:
-        consumer.cancel()
-    await asyncio.gather(*gateway._consumers, return_exceptions=True)
+    tasks = list(gateway._connections) + list(gateway._consumers)
+    for task in gateway._consumers:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
     await tcp.wait_closed()
 
 

@@ -40,7 +40,7 @@ from ..storage import CheckpointStore
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.gateway import CollectionGateway
-from ..transport.sender import _as_sender_id
+from ..transport.ingest import as_stream_id, retry_exhausted, strict_positive
 from ..wire.contract import CollectionContract
 from .pusher import StatePusher
 from .state_push import state_dict_delta
@@ -98,20 +98,19 @@ class EdgeAggregator:
         push_retry_delay: float = 0.5,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if push_every_frames is not None and int(push_every_frames) < 1:
-            raise TransportError(
-                "push_every_frames must be >= 1, got %r"
-                % (push_every_frames,)
-            )
-        if push_every_seconds is not None and float(push_every_seconds) <= 0:
-            raise TransportError(
-                "push_every_seconds must be > 0, got %r"
-                % (push_every_seconds,)
-            )
-        if int(push_attempts) < 1:
-            raise TransportError(
-                "push_attempts must be >= 1, got %r" % (push_attempts,)
-            )
+        self.push_every_frames = strict_positive(
+            push_every_frames, "push_every_frames", TransportError, optional=True
+        )
+        self.push_every_seconds = strict_positive(
+            push_every_seconds,
+            "push_every_seconds",
+            TransportError,
+            count=False,
+            optional=True,
+        )
+        self.push_attempts = strict_positive(
+            push_attempts, "push_attempts", TransportError
+        )
         self.telemetry = metrics if metrics is not None else MetricsRegistry()
         self.server = ShardedServer(
             schema, epsilon, sampled_attributes, protocols, shards=shards
@@ -125,14 +124,7 @@ class EdgeAggregator:
             checkpoint_every_seconds=checkpoint_every_seconds,
             metrics=self.telemetry,
         )
-        self.edge_id = _as_sender_id(edge_id)
-        self.push_every_frames = (
-            None if push_every_frames is None else int(push_every_frames)
-        )
-        self.push_every_seconds = (
-            None if push_every_seconds is None else float(push_every_seconds)
-        )
-        self.push_attempts = int(push_attempts)
+        self.edge_id = as_stream_id(edge_id)
         self.push_retry_delay = float(push_retry_delay)
         self._upstream: Optional[Tuple[str, int]] = None
         self._upstream_ssl = None
@@ -392,38 +384,28 @@ class EdgeAggregator:
                         )
                     else:
                         epoch = await pusher.push(state, counters)
-                except (TransportError, ConnectionError, OSError) as exc:
+                except (
+                    TransportError, ConnectionError, OSError, WireFormatError
+                ) as exc:
+                    refused = isinstance(exc, WireFormatError)
+                    if refused:
+                        if not as_delta:
+                            raise
+                        # The root refused the delta (base mismatch after
+                        # an ack raced a crash, say). Forget the base so
+                        # the next attempt ships the full snapshot.
+                        self._base_state = None
+                        self._base_epoch = 0
                     failures.append((attempt, exc))
                     self.push_retries += 1
                     self._m_push_retries.inc()
                     emit(
                         self._log,
-                        "push_retry",
+                        "delta_refused" if refused else "push_retry",
                         level=logging.WARNING,
                         edge_id=self.edge_id.hex(),
                         attempt=attempt,
                         attempts=self.push_attempts,
-                        error=str(exc),
-                    )
-                    await self._close_pusher()
-                    continue
-                except WireFormatError as exc:
-                    if not as_delta:
-                        raise
-                    # The root refused the delta (base mismatch after an
-                    # ack raced a crash, say). Forget the base so the
-                    # next attempt ships the authoritative full snapshot.
-                    self._base_state = None
-                    self._base_epoch = 0
-                    failures.append((attempt, exc))
-                    self.push_retries += 1
-                    self._m_push_retries.inc()
-                    emit(
-                        self._log,
-                        "delta_refused",
-                        level=logging.WARNING,
-                        edge_id=self.edge_id.hex(),
-                        attempt=attempt,
                         error=str(exc),
                     )
                     await self._close_pusher()
@@ -444,13 +426,8 @@ class EdgeAggregator:
                 self._m_last_epoch.set(epoch)
                 self._m_unpushed.set(self._frames_since_push)
                 return epoch
-            detail = "; ".join(
-                "attempt %d: %s" % (attempt, exc)
-                for attempt, exc in failures
-            )
-            raise TransportError(
-                "state not pushed after %d attempt(s): %s"
-                % (self.push_attempts, detail)
+            raise retry_exhausted(
+                "state not pushed", self.push_attempts, failures
             ) from failures[-1][1]
 
     async def _ensure_pusher(self) -> StatePusher:

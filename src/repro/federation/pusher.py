@@ -1,20 +1,19 @@
 """Asyncio TCP state pusher: the edge-side end of the federation hop.
 
-:class:`StatePusher` is to a :class:`~repro.federation.RootAggregator`
-what :class:`~repro.transport.AsyncReportSender` is to a collection
-gateway: it opens a connection, performs the contract handshake (hello
-opened by :data:`~repro.transport.framing.STATE_MAGIC`, fingerprints
-compared before any payload flows), and then ships epoch-numbered,
-CRC-sealed state snapshots — one framed push per epoch, each
-acknowledged only once the root has validated and folded it (and, with
-a root-side checkpoint store, persisted it durably).
+:class:`StatePusher` is the ``STATE`` push
+:class:`~repro.transport.ingest.HandshakenStream` — the hello (opened by
+:data:`~repro.transport.framing.STATE_MAGIC`), the contract checks and
+the ack round trip are the shared client half. It ships epoch-numbered,
+CRC-sealed state pushes, each acknowledged only once the root has
+validated and folded it (and, with a root-side checkpoint store,
+persisted it durably).
 
-Resume mirrors the report stream: the hello reply carries the *epoch
-watermark* — the highest epoch the root already folded for this edge id
-— and :meth:`StatePusher.push` numbers pushes ``watermark + 1,
-watermark + 2, …``. Because snapshots are cumulative, a reconnecting
-edge does not need to replay anything: its next push covers everything
-the lost ones would have.
+Resume: the hello reply carries the *epoch watermark* — the highest
+epoch the root already folded for this edge id — and
+:meth:`StatePusher.push` numbers pushes ``watermark + 1, watermark + 2,
+…``. Because snapshots are cumulative, a reconnecting edge does not need
+to replay anything: its next push covers everything the lost ones would
+have.
 """
 
 from __future__ import annotations
@@ -22,27 +21,17 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping, Optional
 
-from ..exceptions import ContractMismatchError, TransportError
+from ..exceptions import TransportError
 from ..telemetry import MetricsRegistry, emit, event_logger
+from ..transport.framing import SENDER_ID_SIZE, STATE_MAGIC
+from ..transport.ingest import ContractLike, HandshakenStream
 from ..wire.contract import CollectionContract
-from ..transport.framing import (
-    HELLO,
-    HELLO_REPLY,
-    SENDER_ID_SIZE,
-    STATE_MAGIC,
-    TRANSPORT_MAGIC,
-    TRANSPORT_VERSION,
-    raise_for_status,
-    read_status,
-    write_frame,
-)
-from ..transport.sender import ContractLike, _as_contract, _as_sender_id
 from .state_push import PUSH_KIND_SNAPSHOT, encode_state_push
 
 _LOG = event_logger("pusher")
 
 
-class StatePusher:
+class StatePusher(HandshakenStream):
     """One open, handshaken push connection to a root aggregator.
 
     Construct through :meth:`connect`; use as an async context manager
@@ -56,6 +45,12 @@ class StatePusher:
     restarts so the root keeps one record for this edge.
     """
 
+    _hello_magic = STATE_MAGIC
+    _name = "pusher"
+    _server = "root aggregator"
+    _id_key = "edge_id"
+    _resume_key = "resume_epoch"
+
     def __init__(
         self,
         contract: CollectionContract,
@@ -65,14 +60,11 @@ class StatePusher:
         resume_epoch: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.contract = contract
+        super().__init__(contract, reader, writer, metrics)
         self.edge_id = edge_id
         #: Highest epoch the root already folded for this edge when the
         #: connection opened; pushes continue at ``resume_epoch + 1``.
         self.resume_epoch = resume_epoch
-        self._reader = reader
-        self._writer = writer
-        self._closed = False
         self._next_epoch = resume_epoch + 1
         #: Highest epoch the root has acknowledged on *this* connection
         #: (starts at the resume watermark). Edges compare it against
@@ -81,7 +73,6 @@ class StatePusher:
         self.acked_epoch = resume_epoch
         self.pushes_sent = 0
         self.bytes_sent = 0
-        self.telemetry = metrics
         if metrics is not None:
             self._m_pushes_sent = metrics.counter(
                 "pusher_pushes_sent_total",
@@ -116,64 +107,7 @@ class StatePusher:
         is an optional client-side :class:`ssl.SSLContext` for a
         TLS-serving root.
         """
-        agreed = _as_contract(contract)
-        stream_id = _as_sender_id(edge_id)
-        reader, writer = await asyncio.open_connection(host, port, ssl=ssl)
-        try:
-            writer.write(
-                HELLO.pack(
-                    STATE_MAGIC, TRANSPORT_VERSION, agreed.digest, stream_id
-                )
-            )
-            await writer.drain()
-            try:
-                magic, version, digest, resume_epoch = HELLO_REPLY.unpack(
-                    await reader.readexactly(HELLO_REPLY.size)
-                )
-            except (asyncio.IncompleteReadError, ConnectionError) as exc:
-                raise TransportError(
-                    "root closed the connection during the handshake: %s"
-                    % exc
-                ) from None
-            if magic != TRANSPORT_MAGIC:
-                raise TransportError(
-                    "peer is not a root aggregator: bad hello magic %r"
-                    % (magic,)
-                )
-            status, message = await read_status(reader)
-            raise_for_status(status, message)
-            if version != TRANSPORT_VERSION:
-                raise TransportError(
-                    "root speaks transport version %d, this edge %d"
-                    % (version, TRANSPORT_VERSION)
-                )
-            if digest != agreed.digest:
-                raise ContractMismatchError(
-                    "root presents contract %s but this edge aggregates "
-                    "under %s" % (bytes(digest).hex(), agreed.fingerprint)
-                )
-        # repro: allow[broad-except] -- cleanup-and-reraise: the failed
-        # handshake's socket must close on every path (including
-        # CancelledError) before the original error propagates.
-        except BaseException:
-            writer.close()
-            raise
-        if metrics is not None:
-            metrics.counter(
-                "pusher_connects_total",
-                "Successful handshaken connections to a root aggregator",
-            ).inc()
-        emit(
-            _LOG,
-            "pusher_connected",
-            edge_id=stream_id.hex(),
-            host=host,
-            port=port,
-            resume_epoch=resume_epoch,
-        )
-        return cls(agreed, reader, writer, stream_id, resume_epoch, metrics)
-
-    # --------------------------------------------------------------- pushing
+        return await cls._open(host, port, contract, edge_id, metrics, ssl)
 
     async def push(
         self,
@@ -201,20 +135,7 @@ class StatePusher:
         payload = encode_state_push(state, counters, kind, base_epoch)
         epoch = self._next_epoch
         self._next_epoch += 1
-        write_frame(self._writer, epoch, payload)
-        try:
-            await self._writer.drain()
-        except ConnectionError as exc:
-            raise TransportError("connection lost mid-push: %s" % exc) from None
-        status, message = await read_status(self._reader)
-        try:
-            raise_for_status(status, message)
-        # repro: allow[broad-except] -- cleanup-and-reraise: the root
-        # closes the stream after an error status, so this side must tear
-        # down too (even on CancelledError) before the error propagates.
-        except BaseException:
-            await self.close()  # the root closes after an error status
-            raise
+        await self._round_trip(epoch, payload)
         self.acked_epoch = epoch
         self.pushes_sent += 1
         self.bytes_sent += len(payload)
@@ -231,30 +152,6 @@ class StatePusher:
             bytes=len(payload),
         )
         return epoch
-
-    # --------------------------------------------------------------- closing
-
-    async def close(self) -> None:
-        """End the push stream (EOF) and release the connection."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._writer.can_write_eof():
-                self._writer.write_eof()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "StatePusher":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
 
 
 #: Edge ids share the sender-id width: 16 raw bytes.

@@ -1,62 +1,40 @@
 """The upstream end of the federation tier: fold edge pushes, serve one estimate.
 
-:class:`RootAggregator` is a TCP server speaking the ``STATE`` push side
-of the framed socket protocol (:mod:`repro.transport.framing`). Edge
-aggregators connect with a hello opened by ``STATE_MAGIC`` carrying
-their edge id, and then push epoch-numbered, CRC-sealed, contract-
-fingerprint-checked :meth:`~repro.session.LDPServer.state_dict`
-payloads — full cumulative snapshots, or *deltas* over the edge's last
-acknowledged epoch, which the root adds to its stored record through
-the exact big-integer merge before installing the sum as the new
-cumulative snapshot. Either way the root keeps exactly one record per
-edge — the newest epoch's cumulative state — and merges across edges at
-read time with the exact big-integer accumulation, so the federated
-estimate is a pure function of the report multiset: bit-identical to
-one-shot ingestion regardless of edge count, push ordering, duplicate
-pushes, push kinds, or mid-round edge restarts.
+:class:`RootAggregator` is the :class:`~repro.transport.ingest.IngestServer`
+for ``STATE`` push streams (hello magic ``STATE_MAGIC``, edge id in the
+stream-id field); handshake, epoch-watermark dedup, durable-before-ack
+and poisoning are the shared core's. Its fold policy:
 
-Idempotency is the load-bearing property. The handshake reply's resume
-watermark is the highest epoch the root folded for that edge; a push at
-or below it is acknowledged without folding (``pushes_deduped``), so
-retries and reconnects are always safe. With a checkpoint store
-configured, every fold is persisted *before* its ack goes out — an edge
-that heard OK knows its snapshot survives a root SIGKILL, and a
-restarted root recovers the edge table and resumes the round exactly.
+* **One record per edge.** A push is a CRC-sealed, fingerprint-checked
+  :meth:`~repro.session.LDPServer.state_dict` — a full cumulative
+  snapshot, or a *delta* over the edge's last acknowledged epoch, added
+  to the stored record through the exact big-integer merge. Either way
+  the root installs the edge's newest cumulative state, so epochs may
+  skip ahead.
+* **Validated before installed.** A snapshot must restore cleanly and
+  a delta must build on exactly the epoch the root holds.
+* **Durable before ack.** With a checkpoint store the edge table is
+  persisted before the ack; a failed save rolls the fold back (so
+  un-durable state never satisfies a waiter) and poisons the round.
+
+Merging across edges at read time is exact, so the federated estimate
+is bit-identical to one-shot ingestion regardless of edge count, push
+ordering, duplicate pushes, push kinds, or restarts.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 import logging
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
-from ..exceptions import (
-    ContractMismatchError,
-    TransportError,
-    WireFormatError,
-)
+from ..exceptions import WireFormatError
 from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import LDPServer, Postprocessor, SessionEstimate
 from ..storage import CheckpointStore
-from ..storage.base import encode_document
-from ..telemetry import MetricsRegistry, emit, event_logger
-from ..transport.framing import (
-    DEFAULT_MAX_FRAME_BYTES,
-    HELLO,
-    HELLO_REPLY,
-    STATE_MAGIC,
-    STATS_MAGIC,
-    STATUS_CONTRACT_MISMATCH,
-    STATUS_OK,
-    STATUS_TRANSPORT_ERROR,
-    STATUS_WIRE_ERROR,
-    TRANSPORT_MAGIC,
-    TRANSPORT_VERSION,
-    pack_status,
-    read_frame,
-)
+from ..telemetry import MetricsRegistry, emit
+from ..transport.framing import DEFAULT_MAX_FRAME_BYTES, STATE_MAGIC
+from ..transport.ingest import IngestServer, Refusal
 from ..wire.contract import CollectionContract
 from .checkpoint import (
     EdgeRecord,
@@ -66,7 +44,7 @@ from .checkpoint import (
 from .state_push import PUSH_KIND_DELTA, decode_state_push
 
 
-class RootAggregator:
+class RootAggregator(IngestServer):
     """Terminal aggregator of a multi-gateway federated round.
 
     Parameters
@@ -88,6 +66,14 @@ class RootAggregator:
         ``STATS`` socket request always work).
     """
 
+    _hello_magic = STATE_MAGIC
+    _accepts = "STATE pushes from edges, not report frames"
+    _role = "root"
+    _peer = "edge"
+    _unit = "push"
+    _seq_key = "epoch"
+    _accept_event = "edge_connected"
+
     def __init__(
         self,
         schema: Schema,
@@ -100,34 +86,18 @@ class RootAggregator:
     ) -> None:
         self._constructor_args = (schema, epsilon, sampled_attributes, protocols)
         self._template = LDPServer(schema, epsilon, sampled_attributes, protocols)
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.store = store
+        super().__init__(max_frame_bytes, store, metrics)
         self._edges: Dict[bytes, EdgeRecord] = {}
-        self._active_edges: Set[bytes] = set()
-        self._connections: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._tcp: Optional[asyncio.AbstractServer] = None
-        self._progress: Optional[asyncio.Event] = None
-        self._stopping = False
-        self._fold_error: Optional[Exception] = None
-        # Counters: a push is "accepted" once validated, folded into the
-        # edge table and (with a store) persisted durably.
+        # A push is "accepted" once validated, folded into the edge
+        # table and (with a store) persisted durably.
         self.pushes_accepted = 0
-        self.pushes_deduped = 0
         self.deltas_applied = 0
-        self.pushes_rejected = 0
-        self.handshakes_rejected = 0
-        self.bytes_received = 0
-        self.checkpoints_written = 0
-        self.telemetry = metrics if metrics is not None else MetricsRegistry()
-        self._clock = self.telemetry.clock
-        self._log = event_logger("root")
         registry = self.telemetry
         self._m_pushes_accepted = registry.counter(
             "root_pushes_accepted_total",
             "Edge state pushes validated, folded and acknowledged",
         )
-        self._m_pushes_deduped = registry.counter(
+        self._m_deduped = registry.counter(
             "root_pushes_deduped_total",
             "Replayed epochs acknowledged without folding (edge retries)",
         )
@@ -135,14 +105,9 @@ class RootAggregator:
             "root_deltas_applied_total",
             "Accepted pushes that arrived as deltas over a stored base",
         )
-        self._m_pushes_rejected = registry.counter(
+        self._m_rejected = registry.counter(
             "root_pushes_rejected_total",
             "Edge state pushes refused after the handshake, by reason",
-            labels=("reason",),
-        )
-        self._m_handshakes_rejected = registry.counter(
-            "root_handshakes_rejected_total",
-            "Connections refused during the handshake, by reason",
             labels=("reason",),
         )
         self._m_bytes_received = registry.counter(
@@ -152,14 +117,6 @@ class RootAggregator:
         self._m_fold_seconds = registry.histogram(
             "root_fold_seconds",
             "Decode + validate + fold (+ durable checkpoint) per push",
-        )
-        self._m_checkpoints = registry.counter(
-            "root_checkpoints_written_total",
-            "Federation checkpoints persisted (one per folded push)",
-        )
-        self._m_checkpoint_bytes = registry.counter(
-            "root_checkpoint_bytes_total",
-            "Encoded bytes of persisted federation checkpoints",
         )
         self._m_edge_epoch = registry.gauge(
             "root_edge_epoch",
@@ -171,68 +128,34 @@ class RootAggregator:
             "Users covered by the newest folded snapshot, per edge",
             labels=("edge",),
         )
-        self._m_stats_requests = registry.counter(
-            "root_stats_requests_total",
-            "STATS control requests served",
-        )
-        if store is not None and getattr(store, "telemetry", None) is None:
-            store.attach_telemetry(registry)
 
-    # ------------------------------------------------------------ lifecycle
+    @property
+    def pushes_rejected(self) -> int:
+        """Pushes refused after the handshake."""
+        return self._rejected
+
+    @property
+    def pushes_deduped(self) -> int:
+        """Replayed epochs acknowledged without folding."""
+        return self._deduped
 
     @property
     def contract(self) -> CollectionContract:
         """The collection contract every edge push must match."""
         return self._template.contract
 
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0, ssl=None
-    ) -> "RootAggregator":
-        """Bind the listening socket (recovering the edge table first).
+    # ------------------------------------------------------------ lifecycle
 
-        With a checkpoint store configured, the newest intact federation
-        checkpoint is recovered before the socket opens: the edge table
-        (epochs and snapshots) resumes, every reconnecting edge hears
-        its true watermark, and the round continues as if the root had
-        never died. ``ssl`` is an optional server-side
-        :class:`ssl.SSLContext` — with it the root only speaks TLS.
-        """
-        if self._tcp is not None:
-            raise TransportError("root aggregator is already serving")
-        if self.store is not None:
-            document = self.store.recover()
-            if document is not None:
-                self._edges = parse_federation_checkpoint(
-                    document, self.contract
-                )
-                for edge_id, (epoch, state, _) in self._edges.items():
-                    self._observe_edge(edge_id, epoch, state)
-                emit(
-                    self._log,
-                    "recovery_replayed",
-                    edges=len(self._edges),
-                    users=self.users,
-                )
-        self._stopping = False
-        self._progress = asyncio.Event()
-        self._tcp = await asyncio.start_server(
-            self._handle, host, port, ssl=ssl
+    def _recover(self, document: Dict[str, Any]) -> None:
+        self._edges = parse_federation_checkpoint(document, self.contract)
+        for edge_id, (epoch, state, _) in self._edges.items():
+            self._observe_edge(edge_id, epoch, state)
+        emit(
+            self._log,
+            "recovery_replayed",
+            edges=len(self._edges),
+            users=self.users,
         )
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful after binding port 0)."""
-        if self._tcp is None or not self._tcp.sockets:
-            raise TransportError("root aggregator is not serving")
-        ports = {sock.getsockname()[1] for sock in self._tcp.sockets}
-        if len(ports) > 1:
-            raise TransportError(
-                "root aggregator is bound to multiple ports %s: bind one "
-                "explicit address instead of a multi-address hostname"
-                % sorted(ports)
-            )
-        return ports.pop()
 
     async def stop(self, grace: Optional[float] = None) -> None:
         """Stop accepting and settle the open push connections.
@@ -240,35 +163,10 @@ class RootAggregator:
         Folded pushes are already durable (when a store is configured)
         and already in the edge table, so there is nothing to drain —
         settling just lets an in-flight push finish its ack. ``grace``
-        bounds the wait; after it (or immediately when ``None`` and a
-        peer is idle-but-connected, pass ``grace=0``) remaining
-        connections are closed. Mirrors the gateway's py3.12+ ordering:
-        connections are settled *before* ``wait_closed()``.
+        bounds the wait; after it (or immediately when ``None``)
+        remaining connections are closed.
         """
-        self._stopping = True
-        tcp, self._tcp = self._tcp, None
-        if tcp is not None:
-            tcp.close()
-        pending = list(self._connections)
-        if pending:
-            if grace is None:
-                for writer in list(self._writers):
-                    writer.close()
-                await asyncio.gather(*pending, return_exceptions=True)
-            else:
-                _, overdue = await asyncio.wait(pending, timeout=grace)
-                if overdue:
-                    for writer in list(self._writers):
-                        writer.close()
-                    await asyncio.gather(*overdue, return_exceptions=True)
-        if tcp is not None:
-            await tcp.wait_closed()
-
-    async def __aenter__(self) -> "RootAggregator":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
+        await self._shutdown(grace is None, grace)
 
     # --------------------------------------------------------------- waiting
 
@@ -291,35 +189,8 @@ class RootAggregator:
         """Edges that have pushed (or been recovered) so far."""
         return len(self._edges)
 
-    async def wait_for_users(self, count: int) -> None:
-        """Block until folded snapshots cover at least ``count`` users.
-
-        Raises :class:`TransportError` if the root is poisoned (a
-        checkpoint save failed mid-round) while waiting — a poisoned
-        root refuses every further push, so the count can never be
-        reached.
-        """
-        if self._progress is None:
-            raise TransportError("root aggregator is not serving")
-        while self.users < int(count):
-            self._check_folds()
-            self._progress.clear()
-            if self.users >= int(count):
-                break
-            await self._progress.wait()
-
-    def _check_folds(self) -> None:
-        if self._fold_error is not None:
-            raise TransportError(
-                "the root failed to persist a folded push; the round "
-                "cannot finish: %s" % self._fold_error
-            ) from self._fold_error
-
-    def _poison(self, exc: Exception) -> None:
-        if self._fold_error is None:
-            self._fold_error = exc
-        if self._progress is not None:
-            self._progress.set()
+    def _users_acked(self) -> int:
+        return self.users
 
     # -------------------------------------------------------------- results
 
@@ -393,306 +264,89 @@ class RootAggregator:
         if isinstance(users, int) and not isinstance(users, bool):
             self._m_edge_users.labels(edge=label).set(users)
 
-    # ----------------------------------------------------------- connections
+    # ----------------------------------------------------------- fold policy
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._stopping:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            return
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._writers.add(writer)
-        edge_id: Optional[bytes] = None
-        try:
-            edge_id = await self._handshake(reader, writer)
-            if edge_id is not None:
-                await self._pump(reader, writer, edge_id)
-        except (ConnectionError, TransportError):
-            pass  # peer vanished: folded pushes stay folded
-        finally:
-            if edge_id is not None:
-                self._active_edges.discard(edge_id)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if task is not None:
-                self._connections.discard(task)
+    def _watermark(self, edge_id: bytes) -> int:
+        return self._edges[edge_id][0] if edge_id in self._edges else 0
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        message: str = "",
-        hello: bool = False,
-        resume: int = 0,
-    ) -> None:
-        if hello:
-            writer.write(
-                HELLO_REPLY.pack(
-                    TRANSPORT_MAGIC,
-                    TRANSPORT_VERSION,
-                    self.contract.digest,
-                    resume,
-                )
-            )
-        writer.write(pack_status(status, message))
-        await writer.drain()
+    async def _fold(
+        self, edge_id: bytes, epoch: int, payload: bytes
+    ) -> Optional[Refusal]:
+        """Install one push as the edge's newest cumulative state.
 
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[bytes]:
-        try:
-            magic, version, digest, edge_id = HELLO.unpack(
-                await reader.readexactly(HELLO.size)
-            )
-        except asyncio.IncompleteReadError:
-            return None  # probe/scan connection: nothing to answer
-        if magic == STATS_MAGIC:
-            payload = json.dumps(self.stats_snapshot(), sort_keys=True)
-            self._m_stats_requests.inc()
-            emit(self._log, "stats_served", bytes=len(payload))
-            await self._reply(writer, STATUS_OK, payload, hello=True)
-            return None
-        if magic != STATE_MAGIC:
-            self._reject_handshake("bad_magic")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "not a federation state-push hello: bad magic %r (a root "
-                "aggregator accepts STATE pushes from edges, not report "
-                "frames — expected %r)" % (magic, STATE_MAGIC),
-                hello=True,
-            )
-            return None
-        if version != TRANSPORT_VERSION:
-            self._reject_handshake("version")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "unsupported transport version %d (this root speaks %d)"
-                % (version, TRANSPORT_VERSION),
-                hello=True,
-            )
-            return None
-        if digest != self.contract.digest:
-            self._reject_handshake("contract_mismatch")
-            await self._reply(
-                writer,
-                STATUS_CONTRACT_MISMATCH,
-                "edge operates under contract %s but this root aggregates "
-                "under %s (schema, budget, and per-attribute protocols "
-                "must agree)" % (bytes(digest).hex(), self.contract.fingerprint),
-                hello=True,
-            )
-            return None
-        if edge_id in self._active_edges:
-            self._reject_handshake("duplicate_edge")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "edge id %s is already connected: an edge id names one "
-                "resumable push stream, so concurrent connections under "
-                "it would corrupt its epoch watermark" % edge_id.hex(),
-                hello=True,
-            )
-            return None
-        self._active_edges.add(edge_id)
-        resume = self._edges[edge_id][0] if edge_id in self._edges else 0
-        emit(
-            self._log,
-            "edge_connected",
-            edge_id=edge_id.hex(),
-            resume_epoch=resume,
-        )
-        await self._reply(writer, STATUS_OK, hello=True, resume=resume)
-        return edge_id
-
-    def _reject_handshake(self, reason: str) -> None:
-        self.handshakes_rejected += 1
-        self._m_handshakes_rejected.labels(reason=reason).inc()
-        emit(
-            self._log,
-            "handshake_rejected",
-            level=logging.WARNING,
-            reason=reason,
-        )
-
-    async def _pump(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        edge_id: bytes,
-    ) -> None:
-        """Fold epoch-numbered pushes until EOF or the first bad one.
-
-        Epochs at or below the edge's watermark are acknowledged without
-        folding (the edge retried past our ack); newer snapshot epochs
-        replace the edge's record, and delta epochs — accepted only when
-        their ``base_epoch`` names exactly the record the root holds —
-        are added to it through the exact merge, so the installed state
-        equals the snapshot the edge would have shipped, bit for bit.
-        Unlike report streams, epochs may skip ahead — the installed
-        state is always cumulative, so epoch ``n`` covers everything any
-        skipped epoch would have.
+        Each push is cumulative, so an epoch may skip ahead. Snapshot
+        epochs replace the edge's record; delta epochs — accepted only
+        when their ``base_epoch`` names exactly the record the root
+        holds — are added to it through the exact merge, so the
+        installed state equals the snapshot the edge would have
+        shipped, bit for bit.
         """
-        while True:
-            try:
-                framed = await read_frame(reader, self.max_frame_bytes)
-            except WireFormatError as exc:
-                self._reject_push("wire", edge_id, exc)
-                await self._reply(writer, STATUS_WIRE_ERROR, str(exc))
-                return
-            if framed is None:
-                return  # clean end of stream
-            epoch, payload = framed
-            if self._fold_error is not None:
-                self._reject_push("poisoned", edge_id, self._fold_error)
-                await self._reply(
-                    writer,
-                    STATUS_TRANSPORT_ERROR,
-                    "root aggregation failed: %s" % self._fold_error,
+        started = self._clock()
+        push = decode_state_push(payload, self.contract)
+        record = self._edges.get(edge_id)
+        if push.kind == PUSH_KIND_DELTA:
+            if record is None:
+                raise WireFormatError(
+                    "delta push over base epoch %d from edge %s, but this "
+                    "root holds no state for it — a delta needs the "
+                    "snapshot it builds on" % (push.base_epoch, edge_id.hex())
                 )
-                return
-            watermark = self._edges[edge_id][0] if edge_id in self._edges else 0
-            if epoch <= watermark:
-                self.pushes_deduped += 1
-                self._m_pushes_deduped.inc()
-                emit(
-                    self._log,
-                    "push_deduped",
-                    level=logging.DEBUG,
-                    edge_id=edge_id.hex(),
-                    epoch=epoch,
+            if push.base_epoch != record[0]:
+                raise WireFormatError(
+                    "delta push builds on epoch %d but this root holds "
+                    "epoch %d for edge %s — the edge must re-ship a full "
+                    "snapshot" % (push.base_epoch, record[0], edge_id.hex())
                 )
-                await self._reply(writer, STATUS_OK)
-                continue
-            started = self._clock()
-            try:
-                push = decode_state_push(payload, self.contract)
-                counters = push.counters
-                if push.kind == PUSH_KIND_DELTA:
-                    record = self._edges.get(edge_id)
-                    if record is None:
-                        raise WireFormatError(
-                            "delta push over base epoch %d from edge %s, "
-                            "but this root holds no state for it — a "
-                            "delta needs the snapshot it builds on"
-                            % (push.base_epoch, edge_id.hex())
-                        )
-                    if push.base_epoch != record[0]:
-                        raise WireFormatError(
-                            "delta push builds on epoch %d but this root "
-                            "holds epoch %d for edge %s — the edge must "
-                            "re-ship a full snapshot"
-                            % (push.base_epoch, record[0], edge_id.hex())
-                        )
-                    # Exact merge onto the stored base: the installed
-                    # state equals the full snapshot the edge holds, bit
-                    # for bit (stored + (current − stored) == current).
-                    folded = LDPServer(*self._constructor_args)
-                    folded.load_state_dict(record[1])
-                    folded.merge_state_dict(push.state)
-                    state = folded.state_dict()
+            # stored + (current − stored) == current, bit for bit.
+            folded = LDPServer(*self._constructor_args)
+            folded.load_state_dict(record[1])
+            folded.merge_state_dict(push.state)
+            state = folded.state_dict()
+        else:
+            state = push.state
+            # Validate the snapshot restores cleanly BEFORE installing
+            # it — a malformed state must not replace a good one
+            # (merged() would fail long after the ack).
+            LDPServer(*self._constructor_args).load_state_dict(state)
+        self._edges[edge_id] = (epoch, state, push.counters)
+        if self.store is not None:
+            # Durable BEFORE the ack: once the edge hears OK, its
+            # snapshot survives a root SIGKILL.
+            refusal = await self._durably(self._checkpoint, "push")
+            if refusal is not None:
+                # Roll the fold back, or un-durable state would satisfy
+                # wait_for_users despite having no checkpoint behind it.
+                if record is None:
+                    del self._edges[edge_id]
                 else:
-                    state = push.state
-                    # Validate the snapshot restores cleanly BEFORE
-                    # installing it — a malformed state must not replace
-                    # a good one (merged() would fail long after the ack).
-                    LDPServer(*self._constructor_args).load_state_dict(state)
-            except ContractMismatchError as exc:
-                self._reject_push("contract_mismatch", edge_id, exc)
-                await self._reply(writer, STATUS_CONTRACT_MISMATCH, str(exc))
-                return
-            except WireFormatError as exc:
-                self._reject_push("invalid", edge_id, exc)
-                await self._reply(writer, STATUS_WIRE_ERROR, str(exc))
-                return
-            previous = self._edges.get(edge_id)
-            self._edges[edge_id] = (epoch, state, counters)
-            if self.store is not None:
-                # Durable BEFORE the ack: once the edge hears OK, its
-                # snapshot survives a root SIGKILL.
-                try:
-                    document = federation_checkpoint_document(
-                        self.contract, self._edges
-                    )
-                    self.store.save(document)
-                    self.checkpoints_written += 1
-                    self._m_checkpoints.inc()
-                    self._m_checkpoint_bytes.inc(
-                        len(encode_document(document))
-                    )
-                # repro: allow[broad-except] -- poison rationale: any
-                # checkpoint failure (typed or not) must roll the fold
-                # back and poison the round before the ack, or un-durable
-                # state would satisfy wait_for_users and leak into
-                # merged() despite having no checkpoint behind it.
-                except Exception as exc:
-                    if previous is None:
-                        del self._edges[edge_id]
-                    else:
-                        self._edges[edge_id] = previous
-                    emit(
-                        self._log,
-                        "checkpoint_failed",
-                        level=logging.ERROR,
-                        edge_id=edge_id.hex(),
-                        error=str(exc),
-                    )
-                    self._poison(exc)
-                    self._reject_push("checkpoint_failed", edge_id, exc)
-                    await self._reply(
-                        writer,
-                        STATUS_TRANSPORT_ERROR,
-                        "root checkpoint failed: %s" % exc,
-                    )
-                    return
-            self.pushes_accepted += 1
-            self.bytes_received += len(payload)
-            self._m_pushes_accepted.inc()
-            self._m_bytes_received.inc(len(payload))
-            if push.kind == PUSH_KIND_DELTA:
-                self.deltas_applied += 1
-                self._m_deltas_applied.inc()
-            self._m_fold_seconds.observe(self._clock() - started)
-            self._observe_edge(edge_id, epoch, state)
-            emit(
-                self._log,
-                "push_folded",
-                level=logging.DEBUG,
-                edge_id=edge_id.hex(),
-                epoch=epoch,
-                kind=push.kind,
-                users=state.get("users"),
-                bytes=len(payload),
-            )
-            if self._progress is not None:
-                self._progress.set()
-            await self._reply(writer, STATUS_OK)
-
-    def _reject_push(
-        self, reason: str, edge_id: bytes, error: Exception
-    ) -> None:
-        self.pushes_rejected += 1
-        self._m_pushes_rejected.labels(reason=reason).inc()
+                    self._edges[edge_id] = record
+                return refusal
+        self.pushes_accepted += 1
+        self.bytes_received += len(payload)
+        self._m_pushes_accepted.inc()
+        self._m_bytes_received.inc(len(payload))
+        if push.kind == PUSH_KIND_DELTA:
+            self.deltas_applied += 1
+            self._m_deltas_applied.inc()
+        self._m_fold_seconds.observe(self._clock() - started)
+        self._observe_edge(edge_id, epoch, state)
         emit(
             self._log,
-            "push_rejected",
-            level=logging.WARNING,
-            reason=reason,
+            "push_folded",
+            level=logging.DEBUG,
             edge_id=edge_id.hex(),
-            detail=str(error),
+            epoch=epoch,
+            kind=push.kind,
+            users=state.get("users"),
+            bytes=len(payload),
         )
+        return None
+
+    async def _checkpoint(self) -> None:
+        """Persist the whole edge table (one checkpoint per folded push)."""
+        document = federation_checkpoint_document(self.contract, self._edges)
+        self.store.save(document)
+        self._count_checkpoint(document)
 
 
 async def serve_root(

@@ -4,20 +4,20 @@ The wire layer (:mod:`repro.wire`) makes a report batch a byte string;
 this subpackage moves those bytes between real processes over TCP, with
 the same strictness guarantees:
 
-* :func:`serve_collection` / :class:`CollectionGateway` — an asyncio
-  ingestion front: contract handshake on connect (fingerprints compared
-  *before* any payload bytes flow), accepted frames validated and fanned
-  over a pool of concurrent shard consumers feeding a
-  :class:`~repro.session.ShardedServer` through bounded queues (explicit
-  backpressure), graceful drain-and-merge on shutdown — and, with a
-  :class:`~repro.storage.CheckpointStore`, periodic round checkpoints
-  carrying per-sender acknowledgement watermarks, so a SIGKILLed gateway
-  restarts from durable state and resumes the round exactly;
+* :mod:`repro.transport.ingest` — the shared ingest core: the server
+  half (contract handshake before any payload flows, resume dedup,
+  durable-before-ack with poisoning, graceful shutdown) and the client
+  half (handshaken stream, acknowledged frames) of every tier;
+* :func:`serve_collection` / :class:`CollectionGateway` — the report
+  ingestion front: accepted frames validated and fanned over shard
+  consumers of a :class:`~repro.session.ShardedServer` through bounded
+  queues (explicit backpressure), drain-and-merge on shutdown and, with
+  a :class:`~repro.storage.CheckpointStore`, round checkpoints that let
+  a SIGKILLed gateway resume the round exactly;
 * :class:`AsyncReportSender` / :func:`replay_frames` — the user side:
-  handshake, per-frame acknowledged sequenced sends (the ack wait *is*
-  the backpressure), zero-user heartbeat frames for idle connections,
-  and crash-safe round replay that skips frames the gateway already
-  holds durably;
+  sequenced acknowledged sends (the ack wait *is* the backpressure),
+  zero-user heartbeats, and crash-safe round replay that skips frames
+  the gateway already holds durably;
 * :mod:`repro.transport.framing` — the shared message definitions
   (handshake structs, sequenced length-prefixed frames, typed status
   codes).

@@ -1,92 +1,57 @@
 """Asyncio TCP collection gateway: sockets in, sharded aggregation out.
 
-:class:`CollectionGateway` is the ingestion front of a collection round.
-It listens on a TCP port, handshakes every connection against its
-:class:`~repro.wire.CollectionContract` (fingerprint compared before any
-payload bytes flow), and fans accepted frames over a pool of concurrent
-shard consumers feeding a :class:`~repro.session.ShardedServer`.
+:class:`CollectionGateway` is the ingestion front of a collection round,
+an :class:`~repro.transport.ingest.IngestServer` for report frames: the
+handshake, resume dedup, durable-before-ack and poisoning rules are the
+shared core's. What this module adds is the gateway's fold policy.
 
-Backpressure is explicit and bounded: each shard consumer pulls from its
-own bounded :class:`asyncio.Queue`. A connection reader that lands on a
-full queue blocks in ``put()`` — it stops reading its socket, the
-kernel's TCP window closes, and the *sender's* ``drain()``/ack wait
-blocks. A slow shard therefore slows its producers down instead of
-ballooning gateway memory; nothing is dropped and nothing is buffered
-beyond ``shards x queue_depth`` validated batches.
+* **Contiguous sequences.** A sender numbers its frames 1, 2, 3, …; a
+  gap above the watermark is a protocol violation.
+* **Validate before ack.** Each frame is decoded (CRC, structure),
+  checked against the contract and fully validated on the connection
+  coroutine, so an ack means "this batch will be in the estimate once
+  drained" and a bad frame never touches aggregation state.
+* **Bounded shard queues.** Validated batches fan out over one consumer
+  per shard of a :class:`~repro.session.ShardedServer`, each behind a
+  bounded queue. A reader that lands on a full queue blocks in
+  ``put()`` — its socket is not read and its sender not acked — so a
+  slow shard slows its producers instead of ballooning memory.
+* **Round checkpoints.** With a
+  :class:`~repro.storage.CheckpointStore`, the exact aggregation
+  snapshot plus every sender's acknowledged watermark is persisted
+  every ``N`` frames (before the triggering ack) and/or every ``T``
+  seconds, and once more at :meth:`CollectionGateway.stop`. A round
+  interrupted by SIGKILL and resumed from checkpoint finishes
+  bit-identical to one that never crashed.
 
-Durability is opt-in: hand the gateway a
-:class:`~repro.storage.CheckpointStore` and it periodically persists a
-*round checkpoint* — the exact aggregation snapshot plus, per sender id,
-the highest contiguously acknowledged frame sequence number. A restarted
-gateway recovers the newest intact checkpoint, tells each reconnecting
-sender its watermark (so the sender skips durable frames), and
-acknowledges-without-folding any duplicate that arrives anyway. Because
-aggregation is exact, a round interrupted by SIGKILL and resumed from
-checkpoint finishes with estimates bit-identical to one that never
-crashed — zero double-counted frames. Frame-count triggers are honoured
-*before* the triggering frame's ack goes out, so a sender that saw all
-its acks knows its whole stream is durable.
-
-Shutdown is drain-and-merge: :meth:`CollectionGateway.stop` stops
-accepting, lets in-flight connections finish, joins every shard queue
-(all accepted frames folded), writes a final checkpoint when a store is
-configured, then cancels the consumers. Because aggregation is exact
-(:mod:`repro.session.streaming`), the estimate read afterwards is
-bit-identical to one-shot in-process ingestion of the same report
-multiset — the acceptance invariant of the socket path.
-
-Frames are validated *before* they are acknowledged: decode
-(CRC, structure), contract fingerprint, and full server-side payload
-validation all happen on the connection coroutine, so an ack means "this
-batch will be in the estimate once drained". A frame that fails
-validation is answered with a typed error status and the connection is
-closed; the aggregation state is never touched by a bad frame.
+Shutdown is drain-and-merge: stop accepting, settle the connections,
+fold every queued batch, write the final checkpoint. Because
+aggregation is exact (:mod:`repro.session.streaming`), the estimate is
+bit-identical to one-shot in-process ingestion of the same reports.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
-import operator
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from ..session.sharded import ShardedServer
 from ..session.server import LDPServer, Postprocessor, SessionEstimate
-from ..exceptions import (
-    ContractMismatchError,
-    DimensionError,
-    DomainError,
-    StorageError,
-    TransportError,
-    WireFormatError,
-)
+from ..exceptions import DimensionError, StorageError, WireFormatError
 from ..storage import (
     CheckpointStore,
     parse_round_checkpoint,
     round_checkpoint_document,
 )
-from ..storage.base import encode_document
-from ..telemetry import MetricsRegistry, emit, event_logger
+from ..telemetry import MetricsRegistry, emit
 from ..wire.codec import iter_attribute_blocks
 from ..wire.contract import CollectionContract
-from .framing import (
-    DEFAULT_MAX_FRAME_BYTES,
-    HELLO,
-    HELLO_REPLY,
-    STATS_MAGIC,
-    STATUS_CONTRACT_MISMATCH,
-    STATUS_OK,
-    STATUS_TRANSPORT_ERROR,
-    STATUS_WIRE_ERROR,
-    TRANSPORT_MAGIC,
-    TRANSPORT_VERSION,
-    pack_status,
-    read_frame,
-)
+from .framing import DEFAULT_MAX_FRAME_BYTES, TRANSPORT_MAGIC
+from .ingest import IngestServer, Refusal, strict_positive
 
 
-class CollectionGateway:
+class CollectionGateway(IngestServer):
     """Socket ingestion front over a :class:`~repro.session.ShardedServer`.
 
     Parameters
@@ -124,6 +89,14 @@ class CollectionGateway:
         covers the whole ingest path.
     """
 
+    _hello_magic = TRANSPORT_MAGIC
+    _accepts = "report frames from senders, not STATE pushes"
+    _role = "gateway"
+    _peer = "sender"
+    _unit = "frame"
+    _seq_key = "seq"
+    _accept_event = "handshake_accepted"
+
     def __init__(
         self,
         server: ShardedServer,
@@ -134,23 +107,9 @@ class CollectionGateway:
         checkpoint_every_seconds: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        try:
-            depth = operator.index(queue_depth)
-            frame_limit = operator.index(max_frame_bytes)
-        except TypeError:
-            raise DimensionError(
-                "queue_depth and max_frame_bytes must be integers, got "
-                "%r and %r" % (queue_depth, max_frame_bytes)
-            ) from None
-        if depth < 1:
-            raise DimensionError(
-                "queue depth must be >= 1, got %d" % depth
-            )
-        if frame_limit < 1:
-            raise DimensionError(
-                "max_frame_bytes must be >= 1 (every frame, even a "
-                "zero-user heartbeat, has a header), got %d" % frame_limit
-            )
+        self.queue_depth = strict_positive(
+            queue_depth, "queue_depth", DimensionError
+        )
         if store is None and (
             checkpoint_every_frames is not None
             or checkpoint_every_seconds is not None
@@ -158,91 +117,52 @@ class CollectionGateway:
             raise StorageError(
                 "checkpoint triggers need a checkpoint store"
             )
-        if checkpoint_every_frames is not None and int(
-            checkpoint_every_frames
-        ) < 1:
-            raise StorageError(
-                "checkpoint_every_frames must be >= 1, got %r"
-                % (checkpoint_every_frames,)
-            )
-        if checkpoint_every_seconds is not None and float(
-            checkpoint_every_seconds
-        ) <= 0:
-            raise StorageError(
-                "checkpoint_every_seconds must be > 0, got %r"
-                % (checkpoint_every_seconds,)
-            )
+        self.checkpoint_every_frames = strict_positive(
+            checkpoint_every_frames,
+            "checkpoint_every_frames",
+            StorageError,
+            optional=True,
+        )
+        self.checkpoint_every_seconds = strict_positive(
+            checkpoint_every_seconds,
+            "checkpoint_every_seconds",
+            StorageError,
+            count=False,
+            optional=True,
+        )
+        super().__init__(max_frame_bytes, store, metrics)
         self.server = server
-        self.queue_depth = depth
-        self.max_frame_bytes = frame_limit
-        self.store = store
-        self.checkpoint_every_frames = (
-            None
-            if checkpoint_every_frames is None
-            else int(checkpoint_every_frames)
-        )
-        self.checkpoint_every_seconds = (
-            None
-            if checkpoint_every_seconds is None
-            else float(checkpoint_every_seconds)
-        )
         self._queues: List[asyncio.Queue] = []
         self._frame_listeners: List[Any] = []
         self._consumers: List[asyncio.Task] = []
-        self._connections: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._tcp: Optional[asyncio.AbstractServer] = None
-        self._progress: Optional[asyncio.Event] = None
-        self._stopping = False
-        self._fold_error: Optional[Exception] = None
         self._cursor = 0
         # Resume bookkeeping: highest contiguously acknowledged frame
-        # sequence number per sender id, and the senders connected right
-        # now (a sender id names ONE stream — concurrent connections
-        # under the same id would make its watermark meaningless).
+        # sequence number per sender id.
         self._acked: Dict[bytes, int] = {}
-        self._active_senders: Set[bytes] = set()
         # Intake barrier: checkpoint() holds this across drain+snapshot
         # so no frame can be queued (or its watermark advanced) while
         # the snapshot is being cut — acked == folded at save time.
         self._intake_lock = asyncio.Lock()
         self._timer: Optional[asyncio.Task] = None
         self._frames_since_checkpoint = 0
-        # Counters: "accepted" means validated + acked + queued; the
-        # batch is folded into a shard by drain time at the latest.
+        # "Accepted" means validated + acked + queued; the batch is
+        # folded into a shard by drain time at the latest.
         self.frames_accepted = 0
-        self.frames_rejected = 0
-        self.frames_deduped = 0
-        self.handshakes_rejected = 0
         self.users_accepted = 0
-        self.bytes_received = 0
         self.heartbeats = 0
-        self.checkpoints_written = 0
-        # Telemetry: the plain counters above stay authoritative (and
-        # cheap); the registry mirrors them with labels/latencies for
-        # snapshots and the STATS request. One registry can be shared
-        # across the stack — instruments are registered idempotently.
-        self.telemetry = metrics if metrics is not None else MetricsRegistry()
-        self._clock = self.telemetry.clock
-        self._log = event_logger("gateway")
         registry = self.telemetry
         self._m_frames_accepted = registry.counter(
             "gateway_frames_accepted_total",
             "Frames validated, acknowledged and queued for folding",
         )
-        self._m_frames_rejected = registry.counter(
+        self._m_rejected = registry.counter(
             "gateway_frames_rejected_total",
             "Frames refused after the handshake, by reason",
             labels=("reason",),
         )
-        self._m_frames_deduped = registry.counter(
+        self._m_deduped = registry.counter(
             "gateway_frames_deduped_total",
             "Replayed frames acknowledged without folding (resume dedup)",
-        )
-        self._m_handshakes_rejected = registry.counter(
-            "gateway_handshakes_rejected_total",
-            "Connections refused during the handshake, by reason",
-            labels=("reason",),
         )
         self._m_users_accepted = registry.counter(
             "gateway_users_accepted_total",
@@ -283,24 +203,18 @@ class CollectionGateway:
             "gateway_checkpoint_seconds",
             "Drain + snapshot + store.save per round checkpoint",
         )
-        self._m_checkpoints = registry.counter(
-            "gateway_checkpoints_written_total",
-            "Round checkpoints persisted",
-        )
-        self._m_checkpoint_bytes = registry.counter(
-            "gateway_checkpoint_bytes_total",
-            "Encoded bytes of persisted round checkpoints",
-        )
-        self._m_stats_requests = registry.counter(
-            "gateway_stats_requests_total",
-            "STATS control requests served",
-        )
-        if store is not None and getattr(store, "telemetry", None) is None:
-            store.attach_telemetry(registry)
         if getattr(server, "telemetry", None) is None:
             server.attach_telemetry(registry)
 
-    # ------------------------------------------------------------ lifecycle
+    @property
+    def frames_rejected(self) -> int:
+        """Frames refused after the handshake."""
+        return self._rejected
+
+    @property
+    def frames_deduped(self) -> int:
+        """Replayed frames acknowledged without folding."""
+        return self._deduped
 
     @property
     def contract(self) -> CollectionContract:
@@ -318,90 +232,38 @@ class CollectionGateway:
         """
         self._frame_listeners.append(listener)
 
-    async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        ssl=None,
-    ) -> "CollectionGateway":
-        """Bind the listening socket and spawn the shard consumers.
+    # ------------------------------------------------------------ lifecycle
 
-        With a checkpoint store configured, the newest intact round
-        checkpoint is recovered *first*: the aggregation state, the
-        per-sender watermarks and the frame counters all resume, and the
-        restored round continues as if the process had never died. A
-        checkpoint written under a different contract raises
-        :class:`~repro.exceptions.ContractMismatchError` naming both
-        fingerprints; a damaged store raises
-        :class:`~repro.exceptions.CheckpointCorruptError`.
+    def _recover(self, document: Dict[str, Any]) -> None:
+        state, progress, frames = parse_round_checkpoint(
+            document, self.contract
+        )
+        self.server.load_state_dict(state)
+        self._acked = dict(progress)
+        self.frames_accepted = frames
+        self.users_accepted = self.server.users
+        self._frames_since_checkpoint = 0
+        self._m_frames_accepted.inc(frames)
+        self._m_users_accepted.inc(self.users_accepted)
+        emit(
+            self._log,
+            "recovery_replayed",
+            frames=frames,
+            users=self.users_accepted,
+            senders=len(self._acked),
+        )
 
-        ``ssl`` is an optional server-side :class:`ssl.SSLContext`; with
-        it the gateway only speaks TLS (a plaintext client cannot
-        handshake) — the framing above the encrypted stream is
-        unchanged.
-        """
-        if self._tcp is not None:
-            raise TransportError("gateway is already serving")
-        if self.store is not None:
-            document = self.store.recover()
-            if document is not None:
-                state, progress, frames = parse_round_checkpoint(
-                    document, self.contract
-                )
-                self.server.load_state_dict(state)
-                self._acked = dict(progress)
-                self.frames_accepted = frames
-                self.users_accepted = self.server.users
-                self._frames_since_checkpoint = 0
-                self._m_frames_accepted.inc(frames)
-                self._m_users_accepted.inc(self.users_accepted)
-                emit(
-                    self._log,
-                    "recovery_replayed",
-                    frames=frames,
-                    users=self.users_accepted,
-                    senders=len(self._acked),
-                )
-        self._stopping = False
-        self._progress = asyncio.Event()
+    def _serving(self) -> None:
         self._queues = [
             asyncio.Queue(maxsize=self.queue_depth)
             for _ in self.server.shards
         ]
-        # Bind before spawning the consumers: a failed bind (port in use)
-        # must not leave consumer tasks blocked on their queues forever.
-        # No await separates the bind from the spawns, so a connection
-        # accepted by the new socket cannot be handled before its
-        # consumers exist.
-        self._tcp = await asyncio.start_server(
-            self._handle, host, port, ssl=ssl
-        )
         self._consumers = [
             asyncio.ensure_future(self._consume(index))
             for index in range(len(self._queues))
         ]
         if self.checkpoint_every_seconds is not None:
             self._timer = asyncio.ensure_future(self._checkpoint_timer())
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful after binding port 0)."""
-        if self._tcp is None or not self._tcp.sockets:
-            raise TransportError("gateway is not serving")
-        ports = {sock.getsockname()[1] for sock in self._tcp.sockets}
-        if len(ports) > 1:
-            # port=0 on a multi-address hostname (e.g. dual-stack
-            # "localhost") gives each address family its own ephemeral
-            # port; advertising just one would misdirect half the
-            # clients.
-            raise TransportError(
-                "gateway is bound to multiple ports %s: binding port 0 "
-                "on a multi-address host gives each address family its "
-                "own ephemeral port — bind one explicit address (e.g. "
-                "127.0.0.1) instead" % sorted(ports)
-            )
-        return ports.pop()
 
     async def drain(self) -> None:
         """Wait until every accepted frame has been folded into a shard."""
@@ -419,41 +281,19 @@ class CollectionGateway:
         is configured (and something changed since the last one), then
         cancels the consumers. ``abort_connections`` closes connections
         immediately instead of waiting; ``grace`` waits up to that many
-        seconds and then closes whatever is still open — so one silent
-        peer cannot hang the shutdown forever. Either way every
+        seconds and then closes whatever is still open. Either way every
         acknowledged frame is folded. A frame in flight when its
         connection was aborted may be folded *without* its ack reaching
         the sender — harmless under resume: the gateway's watermark
         covers it, so a retry is deduplicated instead of double-counted.
         """
-        # Settle the connections BEFORE awaiting wait_closed(): on
-        # Python >= 3.12 Server.wait_closed() waits for every connection
-        # handler to finish (gh-79033), so awaiting it while a handler
-        # is still blocked reading an idle peer would deadlock — exactly
-        # the hang abort_connections/grace exist to prevent.
-        self._stopping = True
-        tcp, self._tcp = self._tcp, None
-        if tcp is not None:
-            tcp.close()  # stop accepting; existing connections live on
+        await self._shutdown(abort_connections, grace)
+
+    async def _wind_down(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             await asyncio.gather(self._timer, return_exceptions=True)
             self._timer = None
-        pending = list(self._connections)
-        if abort_connections:
-            for writer in list(self._writers):
-                writer.close()
-        if pending:
-            if abort_connections or grace is None:
-                await asyncio.gather(*pending, return_exceptions=True)
-            else:
-                _, overdue = await asyncio.wait(pending, timeout=grace)
-                if overdue:
-                    for writer in list(self._writers):
-                        writer.close()
-                    await asyncio.gather(*overdue, return_exceptions=True)
-        if tcp is not None:
-            await tcp.wait_closed()
         await self.drain()
         if (
             self.store is not None
@@ -466,43 +306,8 @@ class CollectionGateway:
         await asyncio.gather(*self._consumers, return_exceptions=True)
         self._consumers = []
 
-    async def __aenter__(self) -> "CollectionGateway":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop(abort_connections=True)
-
-    async def wait_for_users(self, count: int) -> None:
-        """Block until at least ``count`` users have been accepted.
-
-        Raises :class:`TransportError` if the gateway is poisoned by a
-        fold or checkpoint failure while waiting: a poisoned gateway
-        refuses every further frame, so the user count can never reach
-        ``count`` and waiting on would hang forever. :meth:`_poison`
-        sets the progress event precisely so this waiter wakes up to
-        notice.
-        """
-        if self._progress is None:
-            raise TransportError("gateway is not serving")
-        while self.users_accepted < int(count):
-            self._check_folds()
-            self._progress.clear()
-            if self.users_accepted >= int(count):
-                break
-            await self._progress.wait()
-
-    def _poison(self, exc: Exception) -> None:
-        """Record a fatal aggregation error and wake anyone waiting.
-
-        First error wins (later failures are usually its consequences).
-        The progress event is set so a :meth:`wait_for_users` caller
-        re-checks the fold state instead of sleeping forever on a round
-        that can no longer finish.
-        """
-        if self._fold_error is None:
-            self._fold_error = exc
-        if self._progress is not None:
-            self._progress.set()
+    def _users_acked(self) -> int:
+        return self.users_accepted
 
     # ----------------------------------------------------------- checkpoints
 
@@ -525,12 +330,9 @@ class CollectionGateway:
                 self.server.state_dict(), self._acked, self.frames_accepted
             )
             self.store.save(document)
-            self.checkpoints_written += 1
             self._frames_since_checkpoint = 0
             seconds = self._clock() - started
-            nbytes = len(encode_document(document))
-            self._m_checkpoints.inc()
-            self._m_checkpoint_bytes.inc(nbytes)
+            nbytes = self._count_checkpoint(document)
             self._m_checkpoint_seconds.observe(seconds)
             emit(
                 self._log,
@@ -548,27 +350,8 @@ class CollectionGateway:
             await asyncio.sleep(period)
             if not self._frames_since_checkpoint:
                 continue
-            try:
-                await self.checkpoint()
-            # repro: allow[broad-except] -- poison rationale: a timer
-            # checkpoint failure of any type must stop acks (durability
-            # can no longer be promised), so the gateway is poisoned.
-            except Exception as exc:
-                emit(
-                    self._log,
-                    "checkpoint_failed",
-                    level=logging.ERROR,
-                    trigger="timer",
-                    error=str(exc),
-                )
-                self._poison(exc)
-                return
-
-    def _frame_checkpoint_due(self) -> bool:
-        return (
-            self.checkpoint_every_frames is not None
-            and self._frames_since_checkpoint >= self.checkpoint_every_frames
-        )
+            if await self._durably(self.checkpoint, "timer") is not None:
+                return  # poisoned: nothing durable can be promised now
 
     # ------------------------------------------------------------- consumers
 
@@ -619,321 +402,81 @@ class CollectionGateway:
                 queue.task_done()
                 depth.set(queue.qsize())
 
-    # ----------------------------------------------------------- connections
+    # ----------------------------------------------------------- fold policy
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._stopping:
-            # Accepted in the same tick stop() began: this handler is in
-            # neither _connections nor _writers, so the shutdown's
-            # settle pass cannot reach it. Refusing here (before any
-            # handshake or ack) keeps the invariant that every ack is
-            # folded, and lets Server.wait_closed() (which on
-            # Python >= 3.12 waits for all handlers) return promptly.
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            return
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._writers.add(writer)
-        sender_id: Optional[bytes] = None
-        try:
-            sender_id = await self._handshake(reader, writer)
-            if sender_id is not None:
-                await self._pump(reader, writer, sender_id)
-        except (ConnectionError, TransportError):
-            pass  # peer vanished: accepted frames stay accepted
-        finally:
-            if sender_id is not None:
-                self._active_senders.discard(sender_id)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if task is not None:
-                self._connections.discard(task)
+    def _watermark(self, sender_id: bytes) -> int:
+        return self._acked.get(sender_id, 0)
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        message: str = "",
-        hello: bool = False,
-        resume: int = 0,
-    ) -> None:
-        if hello:
-            writer.write(
-                HELLO_REPLY.pack(
-                    TRANSPORT_MAGIC,
-                    TRANSPORT_VERSION,
-                    self.contract.digest,
-                    resume,
-                )
+    async def _fold(
+        self, sender_id: bytes, seq: int, frame: bytes
+    ) -> Optional[Refusal]:
+        """Validate, route and (when due) checkpoint one fresh frame."""
+        started = self._clock()
+        watermark = self._acked.get(sender_id, 0)
+        if seq != watermark + 1:
+            return "sequence_gap", WireFormatError(
+                "frame %d skips ahead of watermark %d for sender %s: "
+                "sequence numbers must be contiguous"
+                % (seq, watermark, sender_id.hex())
             )
-        writer.write(pack_status(status, message))
-        await writer.drain()
-
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[bytes]:
-        """Verify the contract fingerprint before any payload bytes flow.
-
-        Returns the connection's sender id (registered as active) on
-        success, ``None`` on a refused handshake. The success reply
-        carries the stream's resume watermark, so a reconnecting sender
-        knows exactly which frames are already durable.
-        """
-        try:
-            magic, version, digest, sender_id = HELLO.unpack(
-                await reader.readexactly(HELLO.size)
-            )
-        except asyncio.IncompleteReadError:
-            return None  # probe/scan connection: nothing to answer
-        if magic == STATS_MAGIC:
-            # Live introspection: a hello-sized control message asking
-            # for the telemetry snapshot instead of a report stream.
-            # Served before any contract check so an admin client needs
-            # no contract; not counted as a handshake rejection.
-            payload = json.dumps(self.stats_snapshot(), sort_keys=True)
-            self._m_stats_requests.inc()
-            emit(self._log, "stats_served", bytes=len(payload))
-            await self._reply(writer, STATUS_OK, payload, hello=True)
-            return None
-        if magic != TRANSPORT_MAGIC:
-            self._reject_handshake("bad_magic")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "not a collection-transport hello: bad magic %r "
-                "(expected %r)" % (magic, TRANSPORT_MAGIC),
-                hello=True,
-            )
-            return None
-        if version != TRANSPORT_VERSION:
-            self._reject_handshake("version")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "unsupported transport version %d (this gateway speaks %d)"
-                % (version, TRANSPORT_VERSION),
-                hello=True,
-            )
-            return None
-        if digest != self.contract.digest:
-            self._reject_handshake("contract_mismatch")
-            await self._reply(
-                writer,
-                STATUS_CONTRACT_MISMATCH,
-                "sender operates under contract %s but this gateway "
-                "collects under %s (schema, budget, and per-attribute "
-                "protocols must agree)"
-                % (bytes(digest).hex(), self.contract.fingerprint),
-                hello=True,
-            )
-            return None
-        if sender_id in self._active_senders:
-            self._reject_handshake("duplicate_sender")
-            await self._reply(
-                writer,
-                STATUS_TRANSPORT_ERROR,
-                "sender id %s is already connected: a sender id names one "
-                "resumable stream, so concurrent connections under it "
-                "would corrupt its watermark" % sender_id.hex(),
-                hello=True,
-            )
-            return None
-        self._active_senders.add(sender_id)
-        resume = self._acked.get(sender_id, 0)
+        # Streaming decode: each attribute block is parsed and validated
+        # as it comes off the frame (payloads stay read-only zero-copy
+        # views into it) — no intermediate ReportBatch. Validation is
+        # contract-level and identical across shards; consumers fold
+        # without re-validating, and nothing folds until every block of
+        # the frame has passed.
+        users, blocks = iter_attribute_blocks(frame, contract=self.contract)
+        canonical = self.server.shards[0]._validate_blocks(users, blocks)
+        users = int(users)
+        # Bounded queue: blocking here is the backpressure — the socket
+        # is not read (and the sender not acked) until the target shard
+        # has room. The intake barrier makes queue+watermark atomic with
+        # respect to checkpoint().
+        async with self._intake_lock:
+            shard_index = self._cursor % len(self._queues)
+            queue = self._queues[shard_index]
+            self._cursor += 1
+            stalled = queue.full()
+            if stalled:
+                self._m_stalls.inc()
+                stall_started = self._clock()
+            await queue.put((users, canonical))
+            if stalled:
+                self._m_stall_seconds.inc(self._clock() - stall_started)
+            self._m_queue_depth.labels(shard=shard_index).set(queue.qsize())
+            self._acked[sender_id] = seq
+            self.frames_accepted += 1
+            self._frames_since_checkpoint += 1
+            self.users_accepted += users
+            self.bytes_received += len(frame)
+            self._m_frames_accepted.inc()
+            self._m_users_accepted.inc(users)
+            self._m_bytes_received.inc(len(frame))
+            if users == 0:
+                self.heartbeats += 1
+                self._m_heartbeats.inc()
+            for listener in self._frame_listeners:
+                listener()
         emit(
             self._log,
-            "handshake_accepted",
+            "frame_accepted",
+            level=logging.DEBUG,
             sender_id=sender_id.hex(),
-            resume_seq=resume,
+            seq=seq,
+            users=users,
+            shard=shard_index,
         )
-        await self._reply(writer, STATUS_OK, hello=True, resume=resume)
-        return sender_id
-
-    def _reject_handshake(self, reason: str) -> None:
-        self.handshakes_rejected += 1
-        self._m_handshakes_rejected.labels(reason=reason).inc()
-        emit(
-            self._log,
-            "handshake_rejected",
-            level=logging.WARNING,
-            reason=reason,
-        )
-
-    async def _pump(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        sender_id: bytes,
-    ) -> None:
-        """Validate, route and ack frames until EOF or the first bad one.
-
-        Duplicates (sequence number at or below the stream's watermark —
-        a sender replaying past a crash) are acknowledged without
-        folding; a gap above the watermark is a protocol violation and
-        closes the connection.
-        """
-        while True:
-            try:
-                framed = await read_frame(reader, self.max_frame_bytes)
-            except WireFormatError as exc:
-                self._reject_frame("wire", sender_id, exc)
-                await self._reply(writer, STATUS_WIRE_ERROR, str(exc))
-                return
-            if framed is None:
-                return  # clean end of stream
-            received_at = self._clock()
-            seq, frame = framed
-            if self._fold_error is not None:
-                # A dead shard must not keep collecting acks it cannot
-                # honour.
-                self._reject_frame("poisoned", sender_id, self._fold_error)
-                await self._reply(
-                    writer,
-                    STATUS_TRANSPORT_ERROR,
-                    "gateway aggregation failed: %s" % self._fold_error,
-                )
-                return
-            watermark = self._acked.get(sender_id, 0)
-            if seq <= watermark:
-                # Already folded (the sender replayed past our ack):
-                # re-acknowledge without touching aggregation state.
-                self.frames_deduped += 1
-                self._m_frames_deduped.inc()
-                emit(
-                    self._log,
-                    "frame_deduped",
-                    level=logging.DEBUG,
-                    sender_id=sender_id.hex(),
-                    seq=seq,
-                )
-                await self._reply(writer, STATUS_OK)
-                continue
-            if seq != watermark + 1:
-                exc = WireFormatError(
-                    "frame %d skips ahead of watermark %d for sender %s: "
-                    "sequence numbers must be contiguous"
-                    % (seq, watermark, sender_id.hex())
-                )
-                self._reject_frame("sequence_gap", sender_id, exc)
-                await self._reply(writer, STATUS_WIRE_ERROR, str(exc))
-                return
-            try:
-                # Streaming decode: each attribute block is parsed and
-                # validated as it comes off the frame (payloads stay
-                # read-only zero-copy views into it) — no intermediate
-                # ReportBatch. Validation is contract-level and
-                # identical across shards; consumers fold without
-                # re-validating, and nothing folds until every block of
-                # the frame has passed.
-                users, blocks = iter_attribute_blocks(
-                    frame, contract=self.contract
-                )
-                canonical = self.server.shards[0]._validate_blocks(
-                    users, blocks
-                )
-                users = int(users)
-            except ContractMismatchError as exc:
-                self._reject_frame("contract_mismatch", sender_id, exc)
-                await self._reply(writer, STATUS_CONTRACT_MISMATCH, str(exc))
-                return
-            except (WireFormatError, DimensionError, DomainError) as exc:
-                self._reject_frame("invalid", sender_id, exc)
-                await self._reply(writer, STATUS_WIRE_ERROR, str(exc))
-                return
-            # Bounded queue: blocking here is the backpressure — the
-            # socket is not read (and the sender not acked) until the
-            # target shard has room. The intake barrier makes
-            # queue+watermark atomic with respect to checkpoint().
-            async with self._intake_lock:
-                shard_index = self._cursor % len(self._queues)
-                queue = self._queues[shard_index]
-                self._cursor += 1
-                stalled = queue.full()
-                if stalled:
-                    self._m_stalls.inc()
-                    stall_started = self._clock()
-                await queue.put((users, canonical))
-                if stalled:
-                    self._m_stall_seconds.inc(self._clock() - stall_started)
-                self._m_queue_depth.labels(shard=shard_index).set(
-                    queue.qsize()
-                )
-                self._acked[sender_id] = seq
-                self.frames_accepted += 1
-                self._frames_since_checkpoint += 1
-                self.users_accepted += users
-                self.bytes_received += len(frame)
-                self._m_frames_accepted.inc()
-                self._m_users_accepted.inc(users)
-                self._m_bytes_received.inc(len(frame))
-                if users == 0:
-                    self.heartbeats += 1
-                    self._m_heartbeats.inc()
-                for listener in self._frame_listeners:
-                    listener()
-            emit(
-                self._log,
-                "frame_accepted",
-                level=logging.DEBUG,
-                sender_id=sender_id.hex(),
-                seq=seq,
-                users=users,
-                shard=shard_index,
-            )
-            if self._frame_checkpoint_due():
-                # Durable BEFORE the ack: once the sender hears OK, the
-                # frames that triggered this checkpoint survive SIGKILL.
-                try:
-                    await self.checkpoint()
-                # repro: allow[broad-except] -- poison rationale: the
-                # frame-triggered checkpoint is durable-BEFORE-ack; any
-                # failure must refuse the frame and poison the gateway so
-                # no sender hears OK for un-durable frames.
-                except Exception as exc:
-                    emit(
-                        self._log,
-                        "checkpoint_failed",
-                        level=logging.ERROR,
-                        trigger="frames",
-                        error=str(exc),
-                    )
-                    self._poison(exc)
-                    self._reject_frame("checkpoint_failed", sender_id, exc)
-                    await self._reply(
-                        writer,
-                        STATUS_TRANSPORT_ERROR,
-                        "gateway checkpoint failed: %s" % exc,
-                    )
-                    return
-            if self._progress is not None:
-                self._progress.set()
-            self._m_ack_latency.observe(self._clock() - received_at)
-            await self._reply(writer, STATUS_OK)
-
-    def _reject_frame(
-        self, reason: str, sender_id: bytes, error: Exception
-    ) -> None:
-        self.frames_rejected += 1
-        self._m_frames_rejected.labels(reason=reason).inc()
-        emit(
-            self._log,
-            "frame_rejected",
-            level=logging.WARNING,
-            reason=reason,
-            sender_id=sender_id.hex(),
-            detail=str(error),
-        )
+        if (
+            self.checkpoint_every_frames is not None
+            and self._frames_since_checkpoint >= self.checkpoint_every_frames
+        ):
+            # Durable BEFORE the ack: once the sender hears OK, the
+            # frames that triggered this checkpoint survive SIGKILL.
+            refusal = await self._durably(self.checkpoint, "frames")
+            if refusal is not None:
+                return refusal
+        self._m_ack_latency.observe(self._clock() - started)
+        return None
 
     # ------------------------------------------------------------- telemetry
 
@@ -971,13 +514,6 @@ class CollectionGateway:
     def users(self) -> int:
         """Users folded into the shards so far (drained frames only)."""
         return self.server.users
-
-    def _check_folds(self) -> None:
-        if self._fold_error is not None:
-            raise TransportError(
-                "a shard consumer failed mid-round; the aggregate is "
-                "incomplete and cannot be served: %s" % self._fold_error
-            ) from self._fold_error
 
     def merged(self) -> LDPServer:
         """Fold all shard states into one fresh server (after a drain)."""

@@ -1,28 +1,19 @@
 """Asyncio TCP report sender: the user-side end of the socket transport.
 
-:class:`AsyncReportSender` opens a connection to a collection gateway,
-performs the contract handshake (both sides compare fingerprints before
-any payload bytes flow), and then ships wire frames produced by
-:func:`~repro.wire.encode_batch` — one sequenced, length-prefixed frame
-per report batch, each acknowledged by the gateway after it has been
-decoded, validated and handed to a shard consumer.
-
-The per-frame acknowledgement is the client half of the backpressure
-loop: a gateway whose shard queues are full simply does not ack, so
-:meth:`AsyncReportSender.send` naturally slows a producer down to the
-aggregation tier's pace. Error statuses come back as the library's own
-exception types — :class:`~repro.exceptions.ContractMismatchError`,
-:class:`~repro.exceptions.WireFormatError`, or
-:class:`~repro.exceptions.TransportError` for transport-level failures.
+:class:`AsyncReportSender` is the report-stream
+:class:`~repro.transport.ingest.HandshakenStream`: the hello, the
+contract checks and the ack round trip are the shared client half.
+It ships wire frames produced by :func:`~repro.wire.encode_batch`, one
+sequenced frame per report batch, each acknowledged once the gateway has
+validated it and handed it to a shard consumer — so a gateway with full
+shard queues slows :meth:`AsyncReportSender.send` down to its own pace.
 
 Resume: every sender carries a 16-byte *sender id* naming its logical
-report stream, and numbers its frames 1, 2, 3, … During the handshake a
-checkpointing gateway answers with the stream's *resume watermark* — the
-highest sequence number it already folded durably. Frames at or below
-the watermark are skipped locally (counted in
-:attr:`AsyncReportSender.frames_skipped`) instead of re-sent, so a
-sender that replays its whole round after a crash — its own or the
-gateway's — contributes every report exactly once.
+report stream, and numbers its frames 1, 2, 3, … The hello reply
+carries the stream's *resume watermark*; frames at or below it are
+skipped locally (:attr:`AsyncReportSender.frames_skipped`) instead of
+re-sent, so a sender that replays its whole round after a crash — its
+own or the gateway's — contributes every report exactly once.
 :func:`replay_frames` wraps the loop: connect, skip, send, and retry on
 transport failures until the round is through.
 """
@@ -32,59 +23,27 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import ContractMismatchError, TransportError
+from ..exceptions import TransportError
 from ..session.client import ReportBatch
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.codec import encode_batch
 from ..wire.contract import DIGEST_SIZE, CollectionContract
-from .framing import (
-    HELLO,
-    HELLO_REPLY,
-    SENDER_ID_SIZE,
-    STATS_MAGIC,
-    STATUS_OK,
-    TRANSPORT_MAGIC,
-    TRANSPORT_VERSION,
-    raise_for_status,
-    read_status,
-    write_frame,
+from .framing import SENDER_ID_SIZE, STATS_MAGIC, TRANSPORT_MAGIC
+from .ingest import (
+    ContractLike,
+    HandshakenStream,
+    close_writer,
+    exchange_hello,
+    retry_exhausted,
+    strict_positive,
 )
 
 _LOG = event_logger("sender")
 
-#: ``connect`` accepts a bare contract or anything carrying one (an
-#: :class:`~repro.session.LDPClient`, an :class:`~repro.session.LDPServer`).
-ContractLike = Union[CollectionContract, object]
 
-
-def _as_contract(contract: ContractLike) -> CollectionContract:
-    if isinstance(contract, CollectionContract):
-        return contract
-    carried = getattr(contract, "contract", None)
-    if isinstance(carried, CollectionContract):
-        return carried
-    raise TransportError(
-        "connect needs a CollectionContract (or an object carrying one "
-        "as .contract), got %s" % type(contract).__name__
-    )
-
-
-def _as_sender_id(sender_id: Optional[bytes]) -> bytes:
-    if sender_id is None:
-        return os.urandom(SENDER_ID_SIZE)
-    if not isinstance(sender_id, (bytes, bytearray)) or len(
-        sender_id
-    ) != SENDER_ID_SIZE:
-        raise TransportError(
-            "a sender id is %d raw bytes, got %r" % (SENDER_ID_SIZE, sender_id)
-        )
-    return bytes(sender_id)
-
-
-class AsyncReportSender:
+class AsyncReportSender(HandshakenStream):
     """One open, handshaken connection to a collection gateway.
 
     Construct through :meth:`connect`; use as an async context manager
@@ -98,6 +57,12 @@ class AsyncReportSender:
     treat them as one resumable stream.
     """
 
+    _hello_magic = TRANSPORT_MAGIC
+    _name = "sender"
+    _server = "collection gateway"
+    _id_key = "sender_id"
+    _resume_key = "resume_seq"
+
     def __init__(
         self,
         contract: CollectionContract,
@@ -107,19 +72,15 @@ class AsyncReportSender:
         resume_seq: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.contract = contract
+        super().__init__(contract, reader, writer, metrics)
         self.sender_id = sender_id
         #: Highest sequence number the gateway already holds durably for
         #: this stream; sends at or below it are skipped, not shipped.
         self.resume_seq = resume_seq
-        self._reader = reader
-        self._writer = writer
-        self._closed = False
         self._next_seq = 1
         self.frames_sent = 0
         self.frames_skipped = 0
         self.bytes_sent = 0
-        self.telemetry = metrics
         if metrics is not None:
             self._m_frames_sent = metrics.counter(
                 "sender_frames_sent_total",
@@ -154,64 +115,7 @@ class AsyncReportSender:
         optional client-side :class:`ssl.SSLContext` for a TLS-serving
         gateway; the framing above the encrypted stream is unchanged.
         """
-        agreed = _as_contract(contract)
-        stream_id = _as_sender_id(sender_id)
-        reader, writer = await asyncio.open_connection(host, port, ssl=ssl)
-        try:
-            writer.write(
-                HELLO.pack(
-                    TRANSPORT_MAGIC, TRANSPORT_VERSION, agreed.digest, stream_id
-                )
-            )
-            await writer.drain()
-            try:
-                magic, version, digest, resume_seq = HELLO_REPLY.unpack(
-                    await reader.readexactly(HELLO_REPLY.size)
-                )
-            except (asyncio.IncompleteReadError, ConnectionError) as exc:
-                raise TransportError(
-                    "gateway closed the connection during the handshake: %s"
-                    % exc
-                ) from None
-            if magic != TRANSPORT_MAGIC:
-                raise TransportError(
-                    "peer is not a collection gateway: bad hello magic %r"
-                    % (magic,)
-                )
-            status, message = await read_status(reader)
-            raise_for_status(status, message)
-            if version != TRANSPORT_VERSION:
-                raise TransportError(
-                    "gateway speaks transport version %d, this client %d"
-                    % (version, TRANSPORT_VERSION)
-                )
-            if digest != agreed.digest:
-                # The gateway accepted us but presents a different
-                # fingerprint: refuse symmetrically.
-                raise ContractMismatchError(
-                    "gateway presents contract %s but this sender operates "
-                    "under %s" % (bytes(digest).hex(), agreed.fingerprint)
-                )
-        # repro: allow[broad-except] -- cleanup-and-reraise: the failed
-        # handshake's socket must close on every path (including
-        # CancelledError) before the original error propagates.
-        except BaseException:
-            writer.close()
-            raise
-        if metrics is not None:
-            metrics.counter(
-                "sender_connects_total",
-                "Successful handshaken connections to a gateway",
-            ).inc()
-        emit(
-            _LOG,
-            "sender_connected",
-            sender_id=stream_id.hex(),
-            host=host,
-            port=port,
-            resume_seq=resume_seq,
-        )
-        return cls(agreed, reader, writer, stream_id, resume_seq, metrics)
+        return await cls._open(host, port, contract, sender_id, metrics, ssl)
 
     # --------------------------------------------------------------- sending
 
@@ -234,20 +138,7 @@ class AsyncReportSender:
             if self.telemetry is not None:
                 self._m_frames_skipped.inc()
             return
-        write_frame(self._writer, seq, frame)
-        try:
-            await self._writer.drain()
-        except ConnectionError as exc:
-            raise TransportError("connection lost mid-send: %s" % exc) from None
-        status, message = await read_status(self._reader)
-        try:
-            raise_for_status(status, message)
-        # repro: allow[broad-except] -- cleanup-and-reraise: the gateway
-        # closes the stream after an error status, so this side must tear
-        # down too (even on CancelledError) before the error propagates.
-        except BaseException:
-            await self.close()  # the gateway closes after an error status
-            raise
+        await self._round_trip(seq, frame)
         self.frames_sent += 1
         self.bytes_sent += len(frame)
         if self.telemetry is not None:
@@ -269,30 +160,6 @@ class AsyncReportSender:
         await self.send(
             ReportBatch(users=0, payloads={}, counts={}, protocols={})
         )
-
-    # --------------------------------------------------------------- closing
-
-    async def close(self) -> None:
-        """End the stream (EOF) and release the connection."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._writer.can_write_eof():
-                self._writer.write_eof()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncReportSender":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
 
 
 async def replay_frames(
@@ -320,15 +187,14 @@ async def replay_frames(
 
     Returns the final (closed) sender, whose counters describe the last
     successful pass. When every attempt fails, the raised
-    :class:`~repro.exceptions.TransportError` enumerates each attempt
-    number with its error — all *distinct* failures across the round,
-    not just the last — so a round that bounced off two different
-    problems (say, connection refused, then a restart mid-stream) shows
-    both. Each failed attempt also emits a ``sender_retry`` event and,
-    with ``metrics``, counts into ``sender_retries_total``.
+    :class:`~repro.exceptions.TransportError` lists each *distinct*
+    failure with the attempts that produced it, so a round that bounced
+    off two different problems (say, connection refused, then a restart
+    mid-stream) shows both. Each failed attempt also emits a
+    ``sender_retry`` event and, with ``metrics``, counts into
+    ``sender_retries_total``.
     """
-    if int(attempts) < 1:
-        raise TransportError("attempts must be >= 1, got %r" % (attempts,))
+    total = strict_positive(attempts, "attempts", TransportError)
     frames = list(frames)
     failures: List[Tuple[int, BaseException]] = []
     retries = (
@@ -339,7 +205,6 @@ async def replay_frames(
             "Delivery attempts that failed with a transport error",
         )
     )
-    total = int(attempts)
     for attempt in range(1, total + 1):
         if attempt > 1:
             await asyncio.sleep(retry_delay)
@@ -368,23 +233,8 @@ async def replay_frames(
                 attempts=total,
                 error=str(exc),
             )
-    # Every attempt failed. Report each distinct error with the attempts
-    # that produced it, in first-seen order, so intermediate failures
-    # are never swallowed by the final one.
-    distinct: Dict[str, List[int]] = {}
-    for attempt, exc in failures:
-        distinct.setdefault(str(exc), []).append(attempt)
-    detail = "; ".join(
-        "attempt%s %s: %s"
-        % (
-            "s" if len(attempt_numbers) > 1 else "",
-            ",".join(str(n) for n in attempt_numbers),
-            message,
-        )
-        for message, attempt_numbers in distinct.items()
-    )
-    raise TransportError(
-        "round not delivered after %d attempt(s): %s" % (total, detail)
+    raise retry_exhausted(
+        "round not delivered", total, failures
     ) from failures[-1][1]
 
 
@@ -394,17 +244,17 @@ async def request_stats(
     timeout: Optional[float] = 10.0,
     ssl=None,
 ) -> Dict[str, Any]:
-    """Fetch a gateway's live telemetry snapshot over its socket.
+    """Fetch a server's live telemetry snapshot over its socket.
 
     Sends a ``STATS`` control request — a hello-sized message opened by
     :data:`~repro.transport.framing.STATS_MAGIC` with the digest and
-    sender-id fields zeroed — and returns the decoded snapshot dict
-    (the gateway's :meth:`~repro.transport.CollectionGateway.
-    stats_snapshot`: ``counters`` + ``metrics``). Needs no contract, so
-    any admin client can poll a round mid-flight.
+    sender-id fields zeroed — and returns the decoded snapshot dict:
+    the ``stats_snapshot()`` of whichever server answers (a collection
+    gateway, an edge's gateway, or a root aggregator). Needs no
+    contract, so any admin client can poll a round mid-flight.
 
     ``timeout`` bounds the whole exchange (connect through reply) in
-    seconds; a gateway that accepts the connection but never answers —
+    seconds; a server that accepts the connection but never answers —
     hung event loop, half-dead process — raises
     :class:`~repro.exceptions.TransportError` after ``timeout`` seconds
     instead of blocking the admin client forever. Pass ``None`` to wait
@@ -416,7 +266,7 @@ async def request_stats(
         )
     except asyncio.TimeoutError:
         raise TransportError(
-            "gateway at %s:%d did not answer the stats request within "
+            "server at %s:%d did not answer the stats request within "
             "%.1f seconds" % (host, port, timeout)
         ) from None
 
@@ -424,51 +274,28 @@ async def request_stats(
 async def _request_stats(host: str, port: int, ssl=None) -> Dict[str, Any]:
     reader, writer = await asyncio.open_connection(host, port, ssl=ssl)
     try:
-        writer.write(
-            HELLO.pack(
-                STATS_MAGIC,
-                TRANSPORT_VERSION,
-                b"\0" * DIGEST_SIZE,
-                b"\0" * SENDER_ID_SIZE,
-            )
+        _, _, _, message = await exchange_hello(
+            reader,
+            writer,
+            STATS_MAGIC,
+            b"\0" * DIGEST_SIZE,
+            b"\0" * SENDER_ID_SIZE,
+            "server",
         )
-        await writer.drain()
-        try:
-            magic, _, _, _ = HELLO_REPLY.unpack(
-                await reader.readexactly(HELLO_REPLY.size)
-            )
-        except (asyncio.IncompleteReadError, ConnectionError) as exc:
-            raise TransportError(
-                "gateway closed the connection during the stats request: %s"
-                % exc
-            ) from None
-        if magic != TRANSPORT_MAGIC:
-            raise TransportError(
-                "peer is not a collection gateway: bad hello magic %r"
-                % (magic,)
-            )
-        status, message = await read_status(reader)
-        raise_for_status(status, message)
-        if status != STATUS_OK:  # pragma: no cover - raise_for_status raised
-            raise TransportError("stats request refused (status %d)" % status)
         try:
             snapshot = json.loads(message)
         except ValueError as exc:
             raise TransportError(
-                "gateway stats reply is not valid JSON: %s" % exc
+                "server stats reply is not valid JSON: %s" % exc
             ) from None
         if not isinstance(snapshot, dict):
             raise TransportError(
-                "gateway stats reply is %s, expected an object"
+                "server stats reply is %s, expected an object"
                 % type(snapshot).__name__
             )
         return snapshot
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await close_writer(writer)
 
 
 __all__ = ["AsyncReportSender", "replay_frames", "request_stats"]
