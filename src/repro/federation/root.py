@@ -345,8 +345,7 @@ class RootAggregator(IngestServer):
     async def _checkpoint(self) -> None:
         """Persist the whole edge table (one checkpoint per folded push)."""
         document = federation_checkpoint_document(self.contract, self._edges)
-        self.store.save(document)
-        self._count_checkpoint(document)
+        self._count_checkpoint(self.store.save(document))
 
 
 async def serve_root(

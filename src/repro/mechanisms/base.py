@@ -181,14 +181,17 @@ class Mechanism(abc.ABC):
         Returns the constant bias for mechanisms where ``δ(t)`` is the same
         for every ``t`` (Lemma 1 shows this always holds for unbounded
         mechanisms), or ``None`` when the bias is data-dependent and the
-        collector therefore cannot calibrate it away pointwise.
+        collector therefore cannot calibrate it away pointwise. The probe
+        runs once per instance and budget; later calls return the memo.
         """
-        lo, hi = self.input_domain
-        probes = np.array([lo, 0.5 * (lo + hi), hi])
-        biases = self.conditional_bias(probes, epsilon)
-        if np.allclose(biases, biases[0], atol=1e-12):
-            return float(biases[0])
-        return None
+        memo = self.__dict__.setdefault("_deterministic_bias", {})
+        if epsilon not in memo:
+            lo, hi = self.input_domain
+            probes = np.array([lo, 0.5 * (lo + hi), hi])
+            biases = self.conditional_bias(probes, epsilon)
+            constant = np.allclose(biases, biases[0], atol=1e-12)
+            memo[epsilon] = float(biases[0]) if constant else None
+        return memo[epsilon]
 
     def conditional_second_moment(
         self, values: np.ndarray, epsilon: float

@@ -55,6 +55,7 @@ from .client import (
     LDPClient,
     ReportBatch,
     resolve_collectors,
+    sample_attribute_indices,
     sample_attribute_mask,
 )
 from .schema import Attribute, CategoricalAttribute, NumericAttribute, Schema
@@ -80,5 +81,6 @@ __all__ = [
     "ShardedServer",
     "StreamingSum",
     "resolve_collectors",
+    "sample_attribute_indices",
     "sample_attribute_mask",
 ]

@@ -35,14 +35,20 @@ ProtocolSpec = Union[None, str, CollectionProtocol, Mapping[str, Union[str, Coll
 DEFAULT_PROTOCOL = "piecewise"
 
 
-def sample_attribute_mask(
+def sample_attribute_indices(
     users: int, dimensions: int, sampled: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Boolean ``(users, d)`` mask with exactly ``m`` True per row.
+    """``(users, m)`` column ids; each row is one uniform size-``m`` subset.
 
-    Uniform without-replacement sampling, vectorized via argpartition of
-    i.i.d. scores — every size-``m`` subset is equally likely. Needs
-    ``users ≥ 0`` and ``1 ≤ sampled ≤ dimensions``.
+    Row-vectorized Floyd sampling (Bentley & Floyd, CACM 1987) draws
+    ``k = m`` ids per row in ``k`` numpy steps over all users: the step
+    for ``top`` draws ``t`` uniformly from ``[0, top]`` and takes ``top``
+    instead when the row already holds ``t``. Every size-``k`` subset is
+    exactly equally likely. When ``m > d/2`` the ``k = d − m`` excluded
+    ids are drawn instead and each row is their complement, so the work
+    is ``O(n·min(m, d − m))`` draws; at ``m = d`` nothing is drawn. The
+    order of ids within a row carries no meaning. Needs ``users ≥ 0``
+    and ``1 ≤ sampled ≤ dimensions``.
     """
     if users < 0 or not 1 <= sampled <= dimensions:
         raise DimensionError(
@@ -50,11 +56,33 @@ def sample_attribute_mask(
             "sampled=%d, dimensions=%d" % (users, sampled, dimensions)
         )
     if sampled == dimensions:
-        return np.ones((users, dimensions), dtype=bool)
-    scores = gen.random((users, dimensions))
-    chosen = np.argpartition(scores, sampled - 1, axis=1)[:, :sampled]
+        return np.tile(np.arange(dimensions), (users, 1))
+    drawn = min(sampled, dimensions - sampled)
+    taken = np.zeros(users * dimensions, dtype=bool)
+    starts = np.arange(users, dtype=np.int64) * dimensions
+    picks = np.empty((drawn, users), dtype=np.int64)
+    for step, top in enumerate(range(dimensions - drawn, dimensions)):
+        pick = gen.integers(0, top + 1, size=users)
+        pick[taken[starts + pick]] = top
+        taken[starts + pick] = True
+        picks[step] = pick
+    if drawn == sampled:
+        return np.ascontiguousarray(picks.T)
+    every = np.broadcast_to(np.arange(dimensions), (users, dimensions))
+    return every[~taken.reshape(users, dimensions)].reshape(users, sampled)
+
+
+def sample_attribute_mask(
+    users: int, dimensions: int, sampled: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Boolean ``(users, d)`` mask with exactly ``m`` True per row.
+
+    The mask of :func:`sample_attribute_indices`: same draws, same
+    errors.
+    """
+    picks = sample_attribute_indices(users, dimensions, sampled, gen)
     mask = np.zeros((users, dimensions), dtype=bool)
-    mask[np.arange(users)[:, None], chosen] = True
+    mask[np.arange(users)[:, None], picks] = True
     return mask
 
 
@@ -225,20 +253,30 @@ class LDPClient:
         """Sample, perturb and package an ``(n, d)`` batch of records.
 
         The whole matrix is validated once, unsampled values included.
-        The sampled values are gathered in one pass, grouped by attribute
-        in schema order and by user within an attribute, and each
-        attribute's slice is privatized in schema order — the order the
-        generator's draws are consumed in.
+        Each user's ``m`` column ids come from
+        :func:`sample_attribute_indices`; one stable sort of the flat ids
+        groups the sampled values by attribute in schema order and by
+        user within an attribute, and one gather reads them out of the
+        validated matrix. At ``m = d`` nothing is sampled and the values
+        are the matrix's columns in order. Each attribute's slice is then
+        privatized in schema order; the generator's draws are consumed
+        by the sampler first, then by the attributes in that order.
         """
         gen = ensure_rng(rng)
         matrix = self.schema.validate_matrix(records)
-        users = matrix.shape[0]
-        mask = sample_attribute_mask(
-            users, self.plan.dimensions, self.plan.sampled_dimensions, gen
-        )
-        columns, rows = np.nonzero(mask.T)
-        values = matrix[rows, columns]
-        ends = np.cumsum(np.bincount(columns, minlength=self.plan.dimensions))
+        users, dimensions = matrix.shape
+        sampled = self.plan.sampled_dimensions
+        if sampled == dimensions:
+            values = matrix.T.ravel()
+            ends = users * np.arange(1, dimensions + 1)
+        else:
+            picks = sample_attribute_indices(users, dimensions, sampled, gen).ravel()
+            keys = picks.astype(np.int16) if dimensions < 2**15 else picks
+            order = np.argsort(keys, kind="stable")
+            per_column = np.bincount(picks, minlength=dimensions)
+            columns = np.repeat(np.arange(dimensions), per_column)
+            values = matrix.take(order // sampled * dimensions + columns)
+            ends = np.cumsum(per_column)
         payloads: Dict[str, Any] = {}
         counts: Dict[str, int] = {}
         protocols: Dict[str, str] = {}

@@ -172,8 +172,11 @@ class CheckpointStore(abc.ABC):
         return 0.0
 
     @abc.abstractmethod
-    def save(self, document: Mapping[str, Any]) -> None:
-        """Durably persist ``document`` as the newest checkpoint."""
+    def save(self, document: Mapping[str, Any]) -> int:
+        """Durably persist ``document`` as the newest checkpoint.
+
+        Returns the size of the encoded document in bytes.
+        """
 
     @abc.abstractmethod
     def load(self) -> Optional[Dict[str, Any]]:

@@ -3,7 +3,9 @@
 The simplest durable backend: one file, holding the latest checkpoint
 document as canonical JSON. Writes go through a temp-file-and-rename in
 the target's own directory, so a crash mid-save can never destroy the
-previous good checkpoint, and a failed write removes its scratch file
+previous good checkpoint. The scratch file is fsynced before the rename
+and the directory after it, so a save that returned survives a power
+loss. A failed write removes its scratch file
 instead of leaving a stale partial ``.tmp`` beside the target — this
 store is the library-wide home of what used to be ad-hoc logic inside
 :meth:`~repro.session.LDPServer.save_state` (which now delegates here,
@@ -25,6 +27,15 @@ from ..exceptions import StorageError
 from .base import CheckpointStore, decode_document, encode_document
 
 
+def _fsync(path: pathlib.Path) -> None:
+    """Flush a file's data, or a directory's entries, to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class JsonFileStore(CheckpointStore):
     """Latest-checkpoint-only store over one atomic JSON file."""
 
@@ -36,13 +47,15 @@ class JsonFileStore(CheckpointStore):
     def _path_for_uri(self) -> str:
         return str(self.path)
 
-    def save(self, document: Mapping[str, Any]) -> None:
+    def save(self, document: Mapping[str, Any]) -> int:
         blob = encode_document(document)  # refuse before touching disk
         started = self._op_clock()
         scratch = self.path.with_name(self.path.name + ".tmp")
         try:
             scratch.write_text(blob.decode("utf-8") + "\n")
+            _fsync(scratch)
             os.replace(scratch, self.path)
+            _fsync(self.path.parent)
         # repro: allow[broad-except] -- cleanup-and-reraise: the atomic
         # save's scratch file must not survive any failure (including
         # CancelledError); the original error propagates untouched.
@@ -52,6 +65,7 @@ class JsonFileStore(CheckpointStore):
             raise
         self._observe_op("save", self._op_clock() - started)
         self._observe_bytes(len(blob))
+        return len(blob)
 
     def load(self) -> Optional[Dict[str, Any]]:
         started = self._op_clock()

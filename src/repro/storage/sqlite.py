@@ -91,7 +91,7 @@ class SqliteStore(CheckpointStore):
 
     # --------------------------------------------------------------- verbs
 
-    def save(self, document: Mapping[str, Any]) -> None:
+    def save(self, document: Mapping[str, Any]) -> int:
         blob = encode_document(document)
         crc = document_crc(blob)
         started = self._op_clock()
@@ -114,6 +114,7 @@ class SqliteStore(CheckpointStore):
             ) from None
         self._observe_op("save", self._op_clock() - started)
         self._observe_bytes(len(blob))
+        return len(blob)
 
     def _rows(self):
         if not self.path.exists():

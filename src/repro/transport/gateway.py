@@ -329,10 +329,10 @@ class CollectionGateway(IngestServer):
             document = round_checkpoint_document(
                 self.server.state_dict(), self._acked, self.frames_accepted
             )
-            self.store.save(document)
+            nbytes = self.store.save(document)
             self._frames_since_checkpoint = 0
             seconds = self._clock() - started
-            nbytes = self._count_checkpoint(document)
+            self._count_checkpoint(nbytes)
             self._m_checkpoint_seconds.observe(seconds)
             emit(
                 self._log,

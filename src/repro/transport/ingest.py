@@ -37,7 +37,6 @@ from ..exceptions import (
     WireFormatError,
 )
 from ..storage import CheckpointStore
-from ..storage.base import encode_document
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.contract import CollectionContract
 from .framing import (
@@ -457,13 +456,11 @@ class IngestServer:
             )
         return None
 
-    def _count_checkpoint(self, document: Dict[str, Any]) -> int:
-        """Count one persisted checkpoint; its encoded size in bytes."""
-        nbytes = len(encode_document(document))
+    def _count_checkpoint(self, nbytes: int) -> None:
+        """Count one persisted checkpoint of ``nbytes`` encoded bytes."""
         self.checkpoints_written += 1
         self._m_checkpoints.inc()
         self._m_checkpoint_bytes.inc(nbytes)
-        return nbytes
 
     # ----------------------------------------------------------- connections
 

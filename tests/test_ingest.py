@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import time
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.session import (
     Schema,
     ShardedServer,
 )
-from repro.storage import JsonFileStore
+from repro.storage import JsonFileStore, encode_document
 from repro.transport import (
     CollectionGateway,
     AsyncReportSender,
@@ -231,6 +232,35 @@ class TestSharedServerContract:
             return elapsed
 
         assert asyncio.run(scenario()) < 5.0
+
+    def test_each_checkpoint_is_encoded_once(self, role, tmp_path, monkeypatch):
+        # The byte counter comes from the store's save, not a re-encode:
+        # every module-level binding of the encoder is spied on.
+        real = encode_document
+        sizes = []
+
+        def counting(document):
+            blob = real(document)
+            sizes.append(len(blob))
+            return blob
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "encode_document", None) is real:
+                monkeypatch.setattr(module, "encode_document", counting)
+
+        async def scenario():
+            server = await role.serve(JsonFileStore(tmp_path / "ckpt.json"))
+            client = await role.connect(server.port)
+            async with client:
+                await role.deliver(client)
+            snapshot = server.stats_snapshot()
+            await server.stop()
+            return snapshot
+
+        snapshot = asyncio.run(scenario())
+        assert snapshot["counters"]["checkpoints_written"] == len(sizes) >= 1
+        family = snapshot["metrics"]["%s_checkpoint_bytes_total" % role.prefix]
+        assert family["values"][""] == sum(sizes)
 
     def test_wait_for_users_raises_once_poisoned(self, role, tmp_path):
         async def scenario():

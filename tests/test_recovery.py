@@ -400,7 +400,7 @@ class TestCheckpointTimerEdges:
             def save(self, document):
                 if self.fail:
                     raise StorageError("disk full")
-                super().save(document)
+                return super().save(document)
 
         frames = _frames(12, batches=3)
 

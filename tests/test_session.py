@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.exceptions import AggregationError, DimensionError, DomainError
 from repro.hdr4me import Recalibrator, true_frequencies
@@ -23,6 +26,7 @@ from repro.session import (
     ReportBatch,
     Schema,
     StreamingSum,
+    sample_attribute_indices,
     sample_attribute_mask,
 )
 
@@ -253,6 +257,140 @@ class TestClient:
             client.report(np.array([5.0, 0.0, 1.0]), rng)
         with pytest.raises(DimensionError):
             client.report(np.array([0.0, 0.0]), rng)
+
+
+class TestAttributeSampler:
+    """Floyd sampling: exact-m rows, every m-subset equally likely."""
+
+    @pytest.mark.parametrize("sampled", [2, 3, 5])
+    def test_every_subset_equally_likely(self, sampled):
+        # d = 6: C(6,2) = C(6,4) = 15 and C(6,3) = 20 cells; m = 5 draws
+        # the one excluded column and takes the complement.
+        dimensions, users = 6, 60_000
+        picks = sample_attribute_indices(
+            users, dimensions, sampled, np.random.default_rng(7)
+        )
+        rows = np.sort(picks, axis=1)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert rows.min() >= 0 and rows.max() < dimensions
+        cells = {c: i for i, c in enumerate(itertools.combinations(range(dimensions), sampled))}
+        observed = np.bincount(
+            [cells[tuple(row)] for row in rows.tolist()], minlength=len(cells)
+        )
+        assert stats.chisquare(observed).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dimensions,sampled", [(500, 50), (750, 700)])
+    def test_column_inclusion_is_m_over_d(self, dimensions, sampled):
+        users = 20_000
+        picks = sample_attribute_indices(
+            users, dimensions, sampled, np.random.default_rng(11)
+        )
+        assert picks.shape == (users, sampled)
+        share = sampled / dimensions
+        counts = np.bincount(picks.ravel(), minlength=dimensions)
+        z = (counts - users * share) / np.sqrt(users * share * (1 - share))
+        assert np.abs(z).max() < 5.0
+
+    @pytest.mark.parametrize("sampled", [1, 4, 9, 10])
+    def test_mask_is_the_indices_mask(self, sampled):
+        mask = sample_attribute_mask(300, 10, sampled, np.random.default_rng(3))
+        picks = sample_attribute_indices(300, 10, sampled, np.random.default_rng(3))
+        expected = np.zeros((300, 10), dtype=bool)
+        np.put_along_axis(expected, picks, True, axis=1)
+        np.testing.assert_array_equal(mask, expected)
+
+    def test_full_sampling_draws_nothing(self):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        picks = sample_attribute_indices(4, 3, 3, gen)
+        np.testing.assert_array_equal(picks, np.tile(np.arange(3), (4, 1)))
+        assert gen.bit_generator.state == before
+
+    @pytest.mark.parametrize("sampled", [2, 4, 6])
+    def test_report_batch_gathers_what_the_mask_selects(self, sampled):
+        """Same draws as a per-column gather through the sampler's mask."""
+        schema = Schema([NumericAttribute("x%d" % j) for j in range(6)])
+        client = LDPClient(schema, 3.0, sampled, "piecewise")
+        matrix = np.random.default_rng(1).uniform(-1, 1, (400, 6))
+        batch = client.report_batch(matrix, np.random.default_rng(9))
+        gen = np.random.default_rng(9)
+        mask = sample_attribute_mask(400, 6, sampled, gen)
+        for j, name in enumerate(schema.names):
+            expected = client.collectors[name].privatize(matrix[mask[:, j], j], gen)
+            assert batch.counts[name] == mask[:, j].sum()
+            assert batch.payloads[name].tobytes() == expected.tobytes()
+
+
+class TestDeterministicBiasMemo:
+    #: Raw estimates of ``_full_sampling_round`` recorded before the
+    #: ``m = d`` gather and the memoized bias landed.
+    PINNED = {
+        "piecewise": "0x1.30d24b7e28566p+1",
+        "laplace": "0x1.aa702f7c0c09ep-4",
+        "square_wave": "0x1.ff8ac3db2ea82p+0",
+        "duchi": "-0x1.6fed1d60e8b72p-4",
+        "hybrid": "0x1.e6ea03d0aa509p+0",
+        "staircase": "0x1.65a06ec69d1f0p-4",
+    }
+
+    @staticmethod
+    def _full_sampling_round():
+        names = list(TestDeterministicBiasMemo.PINNED)
+        schema = Schema(
+            [
+                NumericAttribute(n, domain=(-1.0, 1.0) if i % 2 else (0.0, 4.0))
+                for i, n in enumerate(names)
+            ]
+        )
+        protocols = {n: n for n in names}
+        gen = np.random.default_rng(20261018)
+        client = LDPClient(schema, 3.0, protocols=protocols)
+        server = LDPServer(schema, 3.0, protocols=protocols)
+        lows = np.array([a.domain[0] for a in schema])
+        highs = np.array([a.domain[1] for a in schema])
+        for _ in range(2):
+            records = gen.uniform(lows, highs, (500, len(names)))
+            server.ingest(client.report_batch(records, gen))
+        return server
+
+    def test_estimate_is_bit_identical_to_the_recorded_round(self):
+        estimate = self._full_sampling_round().estimate()
+        assert {a.name: float(a.raw[0]).hex() for a in estimate.attributes} == self.PINNED
+
+    def test_probed_once_per_instance_and_budget(self, monkeypatch):
+        mechanism = get_protocol("piecewise").mechanism
+        probes = []
+        real = mechanism.conditional_bias
+
+        def counting(values, epsilon):
+            probes.append(epsilon)
+            return real(values, epsilon)
+
+        monkeypatch.setattr(mechanism, "conditional_bias", counting)
+        first = [mechanism.deterministic_bias(eps) for eps in (1.0, 0.5, 1.0, 0.5)]
+        assert first[:2] == first[2:]
+        assert probes == [1.0, 0.5]
+
+    def test_estimate_probes_the_shared_mechanism_once(self, monkeypatch):
+        schema = Schema([NumericAttribute("x%d" % j) for j in range(20)])
+        client = LDPClient(schema, 2.0, 4, "laplace")
+        server = LDPServer(schema, 2.0, 4, "laplace")
+        server.ingest(client.report_batch(np.zeros((200, 20)), np.random.default_rng(0)))
+        (mechanism,) = {c.mechanism for c in server.collectors.values()}
+        probe_sizes = []
+        real = mechanism.conditional_bias
+
+        def counting(values, epsilon):
+            probe_sizes.append(np.size(values))
+            return real(values, epsilon)
+
+        monkeypatch.setattr(mechanism, "conditional_bias", counting)
+        server.estimate(postprocess=Recalibrator())
+        server.estimate(postprocess=Recalibrator())
+        # Three-value probes come only from deterministic_bias; the
+        # one-value ones are the deviation model's per attribute.
+        assert probe_sizes.count(3) == 1
+        assert probe_sizes.count(1) == 2 * 20
 
 
 class TestMixedRoundTrip:

@@ -13,6 +13,8 @@ triggers.
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -73,6 +75,12 @@ class TestStoreContract:
                 store.save({"round": n, "nested": {"values": [n, n + 1]}})
             assert store.load()["round"] == 4
             assert store.recover()["round"] == 4
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_save_returns_the_encoded_size(self, backend, tmp_path):
+        document = {"round": 3, "nested": {"values": [1.5, None]}}
+        with _store_for(backend, tmp_path) as store:
+            assert store.save(document) == len(encode_document(document))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_location_is_a_reopenable_uri(self, backend, tmp_path):
@@ -269,6 +277,33 @@ class TestJsonFileAtomicity:
         # No scratch litter, and the previous checkpoint survived.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
         assert store.load() == {"round": 1}
+
+    def test_save_fsyncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "directory" if stat.S_ISDIR(info.st_mode) else "file"
+            events.append(("fsync", kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace",))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "ckpt.json"
+        JsonFileStore(target).save({"round": 1})
+        monkeypatch.undo()
+        assert events == [
+            ("fsync", "file", target.stat().st_ino),
+            ("replace",),
+            ("fsync", "directory", tmp_path.stat().st_ino),
+        ]
 
     def test_load_required_raises_on_missing(self, tmp_path):
         with pytest.raises(StorageError, match="no checkpoint"):
