@@ -22,15 +22,17 @@ import numpy as np
 from repro.analysis import mse, true_mean
 from repro.datasets import gaussian_dataset
 from repro.experiments import SeriesRow, format_series
+from repro.framework import build_multivariate_model
 from repro.hdr4me import Recalibrator, l1_lambda, recalibrate_elastic_net
 from repro.mechanisms import get_mechanism
 from repro.protocol import (
-    MeanEstimationPipeline,
+    BudgetPlan,
     PaddingAndSampling,
     SignalProportionalAllocation,
     UniformAllocation,
     VarianceEstimationPipeline,
     allocated_pipeline_run,
+    collect_means,
     item_frequencies,
     true_variance,
 )
@@ -44,15 +46,17 @@ def _elastic_sweep(alphas, users, seed):
     d, eps = 100, 0.4
     data = gaussian_dataset(users, d, rng=rng)
     truth = true_mean(data)
-    pipeline = MeanEstimationPipeline(get_mechanism("laplace"), eps, dimensions=d)
-    result = pipeline.run(data, rng)
-    model = pipeline.deviation_model(users=users)
+    mech = get_mechanism("laplace")
+    theta_hat = collect_means(mech, eps, data, rng).numeric_means()
+    model = build_multivariate_model(
+        mech, eps / d, BudgetPlan(eps, d, d).expected_reports(users), None, ndim=d
+    )
     lambdas = l1_lambda(model)
     rows = []
     for alpha in alphas:
-        theta = recalibrate_elastic_net(result.theta_hat, lambdas, alpha)
+        theta = recalibrate_elastic_net(theta_hat, lambdas, alpha)
         rows.append(SeriesRow(x=alpha, values={"mse": mse(theta, truth)}))
-    baseline = mse(result.theta_hat, truth)
+    baseline = mse(theta_hat, truth)
     return baseline, rows
 
 

@@ -16,8 +16,10 @@ Run:  python examples/smart_home_telemetry.py
 """
 
 from repro import (
-    MeanEstimationPipeline,
+    BudgetPlan,
     Recalibrator,
+    build_multivariate_model,
+    collect_means,
     cov19_like,
     get_mechanism,
     mse,
@@ -31,29 +33,25 @@ HOUSEHOLDS, CHANNELS, SAMPLED, EPSILON, SEED = 40_000, 400, 40, 1.0, 7
 def main() -> None:
     telemetry = cov19_like(HOUSEHOLDS, CHANNELS, rng=SEED)
     truth = true_mean(telemetry)
+    plan = BudgetPlan(EPSILON, CHANNELS, SAMPLED)
 
     for name in ("laplace", "piecewise", "square_wave"):
         mechanism = get_mechanism(name)
-        pipeline = MeanEstimationPipeline(
+        theta_hat = collect_means(
+            mechanism, EPSILON, telemetry, rng=SEED + 1, sampled_dimensions=SAMPLED
+        ).numeric_means()
+        model = build_multivariate_model(
             mechanism,
-            EPSILON,
-            dimensions=CHANNELS,
-            sampled_dimensions=SAMPLED,
-        )
-        result = pipeline.run(telemetry, rng=SEED + 1)
-        populations = (
-            build_populations(telemetry) if mechanism.bounded else None
-        )
-        model = pipeline.deviation_model(
-            users=result.users, populations=populations
+            plan.epsilon_per_dimension,
+            plan.expected_reports(HOUSEHOLDS),
+            build_populations(telemetry) if mechanism.bounded else None,
+            ndim=CHANNELS,
         )
 
-        baseline = mse(result.theta_hat, truth)
+        baseline = mse(theta_hat, truth)
         line = "%-12s baseline MSE %.5f" % (name, baseline)
         for norm in ("l1", "l2"):
-            enhanced = Recalibrator(norm=norm).recalibrate(
-                result.theta_hat, model
-            )
+            enhanced = Recalibrator(norm=norm).recalibrate(theta_hat, model)
             line += "  |  %s %.5f" % (norm.upper(), mse(enhanced.theta_star, truth))
             if norm == "l1":
                 line += " (%d/%d channels suppressed)" % (

@@ -5,7 +5,8 @@ The library has four layers:
 
 1. **Substrates** — :mod:`repro.mechanisms` (six LDP mechanisms),
    :mod:`repro.freq_oracles` (the Wang et al. GRR/OUE/OLH oracles),
-   :mod:`repro.protocol` (budget accounting and the legacy pipelines),
+   :mod:`repro.protocol` (budget accounting and :func:`collect_means`,
+   one dataset-scale collection round),
    :mod:`repro.datasets` (Section VI data generators) and
    :mod:`repro.analysis` (utility metrics and density diagnostics).
 2. **The paper's contributions** — :mod:`repro.framework` (the Section IV
@@ -49,10 +50,6 @@ Quickstart::
     estimate = server.estimate(postprocess=Recalibrator(norm="l1"))
     print(estimate["screen_time"].scalar)           # private mean
     print(estimate.frequencies("top_app"))          # private frequencies
-
-The pre-session entry points (:class:`MeanEstimationPipeline`,
-:class:`FrequencyEstimationPipeline`, :class:`FrequencyEstimator`) remain
-as thin facades over the session layer.
 """
 
 from .analysis import (
@@ -101,7 +98,6 @@ from .freq_oracles import (
     get_oracle,
 )
 from .hdr4me import (
-    FrequencyEstimator,
     ProximalGradientSolver,
     RecalibrationResult,
     Recalibrator,
@@ -127,8 +123,7 @@ from .protocol import (
     Aggregator,
     BudgetPlan,
     Client,
-    FrequencyEstimationPipeline,
-    MeanEstimationPipeline,
+    collect_means,
 )
 from .session import (
     AttributeEstimate,
@@ -205,8 +200,6 @@ __all__ = [
     "DistributionError",
     "DomainError",
     "DuchiMechanism",
-    "FrequencyEstimationPipeline",
-    "FrequencyEstimator",
     "FrequencyOracle",
     "Gauge",
     "GeneralizedRandomizedResponse",
@@ -216,7 +209,6 @@ __all__ = [
     "LDPClient",
     "LDPServer",
     "LaplaceMechanism",
-    "MeanEstimationPipeline",
     "Mechanism",
     "MetricsRegistry",
     "MultivariateDeviationModel",
@@ -254,6 +246,7 @@ __all__ = [
     "berry_esseen_bound",
     "build_deviation_model",
     "build_multivariate_model",
+    "collect_means",
     "compare_estimates",
     "convergence_curve",
     "cov19_like",

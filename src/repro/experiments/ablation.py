@@ -23,6 +23,7 @@ import numpy as np
 
 from ..analysis.metrics import mse, true_mean
 from ..datasets.synthetic import gaussian_dataset
+from ..framework.multivariate import build_multivariate_model
 from ..hdr4me.recalibrator import Recalibrator
 from ..hdr4me.regularizers import get_regularizer
 from ..hdr4me.solvers import (
@@ -31,7 +32,8 @@ from ..hdr4me.solvers import (
     recalibrate_l2,
 )
 from ..mechanisms.registry import get_mechanism
-from ..protocol.pipeline import MeanEstimationPipeline, build_populations
+from ..protocol.budget import BudgetPlan
+from ..protocol.pipeline import build_populations, collect_means
 from ..rng import RngLike, ensure_rng
 from .base import SeriesRow, format_series
 
@@ -67,18 +69,22 @@ def run_confidence_ablation(
     mech = get_mechanism(mechanism)
     data = gaussian_dataset(users, dimensions, rng=gen)
     truth = true_mean(data)
-    pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=dimensions)
-    result = pipeline.run(data, gen)
-    populations = build_populations(data) if mech.bounded else None
-    model = pipeline.deviation_model(users=result.users, populations=populations)
-    baseline = mse(result.theta_hat, truth)
+    theta_hat = collect_means(mech, epsilon, data, gen).numeric_means()
+    model = build_multivariate_model(
+        mech,
+        epsilon / dimensions,
+        BudgetPlan(epsilon, dimensions, dimensions).expected_reports(users),
+        build_populations(data) if mech.bounded else None,
+        ndim=dimensions,
+    )
+    baseline = mse(theta_hat, truth)
 
     rows = []
     for confidence in confidences:
         values = {}
         for norm in ("l1", "l2"):
             recal = Recalibrator(norm=norm, confidence=confidence)
-            enhanced = recal.recalibrate(result.theta_hat, model)
+            enhanced = recal.recalibrate(theta_hat, model)
             values[norm] = mse(enhanced.theta_star, truth)
         rows.append(SeriesRow(x=float(confidence), values=values))
     return ConfidenceAblationResult(
@@ -139,13 +145,16 @@ def run_harmful_regime(
         truth = true_mean(data)
         populations = build_populations(data) if mech.bounded else None
         for j, epsilon in enumerate(epsilons):
-            pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=d)
-            result = pipeline.run(data, gen)
-            model = pipeline.deviation_model(
-                users=result.users, populations=populations
+            model = build_multivariate_model(
+                mech,
+                epsilon / d,
+                BudgetPlan(epsilon, d, d).expected_reports(users),
+                populations,
+                ndim=d,
             )
-            enhanced = recal.recalibrate(result.theta_hat, model)
-            baseline = mse(result.theta_hat, truth)
+            theta_hat = collect_means(mech, epsilon, data, gen).numeric_means()
+            enhanced = recal.recalibrate(theta_hat, model)
+            baseline = mse(theta_hat, truth)
             ratios[i, j] = mse(enhanced.theta_star, truth) / baseline
     return HarmfulRegimeResult(
         mechanism=mechanism,

@@ -24,9 +24,11 @@ import numpy as np
 
 from ..analysis.metrics import mse, true_mean
 from ..datasets.loader import load_dataset
+from ..framework.multivariate import build_multivariate_model
 from ..hdr4me.recalibrator import Recalibrator
 from ..mechanisms.registry import get_mechanism
-from ..protocol.pipeline import MeanEstimationPipeline, build_populations
+from ..protocol.budget import BudgetPlan
+from ..protocol.pipeline import build_populations, collect_means
 from ..rng import RngLike, ensure_rng, spawn_children
 from .base import SeriesRow, format_series
 
@@ -131,16 +133,19 @@ def run_mse_sweep(
 
     rows: List[SeriesRow] = []
     for epsilon in grid:
-        pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=d)
+        model = build_multivariate_model(
+            mech,
+            epsilon / d,
+            BudgetPlan(epsilon, d, d).expected_reports(n),
+            populations,
+            ndim=d,
+        )
         sums = {label: 0.0 for label in SERIES_LABELS}
         for child in spawn_children(gen, repeats):
-            result = pipeline.run(data, child)
-            model = pipeline.deviation_model(
-                users=result.users, populations=populations
-            )
-            sums["baseline"] += mse(result.theta_hat, truth)
+            theta_hat = collect_means(mech, epsilon, data, child).numeric_means()
+            sums["baseline"] += mse(theta_hat, truth)
             for label, recal in recalibrators.items():
-                enhanced = recal.recalibrate(result.theta_hat, model)
+                enhanced = recal.recalibrate(theta_hat, model)
                 sums[label] += mse(enhanced.theta_star, truth)
         rows.append(
             SeriesRow(

@@ -16,8 +16,10 @@ from typing import List, Sequence
 
 from ..analysis.metrics import mse, true_mean
 from ..datasets.loader import load_dataset
+from ..framework.multivariate import build_multivariate_model
 from ..mechanisms.registry import get_mechanism
-from ..protocol.pipeline import MeanEstimationPipeline, build_populations
+from ..protocol.budget import BudgetPlan
+from ..protocol.pipeline import build_populations, collect_means
 from ..rng import RngLike, ensure_rng, spawn_children
 
 #: Default grid: one dataset per distribution family, all headline
@@ -104,14 +106,17 @@ def run_mse_prediction(
         populations = build_populations(data, population_bins)
         for name in mechanisms:
             mech = get_mechanism(name)
-            pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=dimensions)
-            model = pipeline.deviation_model(
-                users=users,
-                populations=populations if mech.bounded else None,
+            model = build_multivariate_model(
+                mech,
+                epsilon / dimensions,
+                BudgetPlan(epsilon, dimensions, dimensions).expected_reports(users),
+                populations if mech.bounded else None,
+                ndim=dimensions,
             )
             measured = 0.0
             for child in spawn_children(gen, repeats):
-                measured += mse(pipeline.run(data, child).theta_hat, truth)
+                theta_hat = collect_means(mech, epsilon, data, child).numeric_means()
+                measured += mse(theta_hat, truth)
             rows.append(
                 PredictionRow(
                     dataset=dataset,

@@ -14,6 +14,9 @@ A :class:`FrequencyOracle` exposes:
   whatever report type the oracle uses;
 * :meth:`estimate` — collector-side: unbiased frequency estimates from
   the reports;
+* :meth:`estimate_from_counts` — the family's one estimator
+  ``(c/n − q) / (p − q)`` over per-category support counts, shared by
+  :meth:`estimate` and the session collectors;
 * :attr:`support_probabilities` — the ``(p, q)`` pair every estimator
   of the family is built on;
 * :meth:`estimation_variance` — the closed-form variance of each
@@ -32,7 +35,6 @@ import numpy as np
 
 from ..exceptions import DimensionError, DomainError
 from ..framework.multivariate import MultivariateDeviationModel
-from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
 from ..mechanisms.base import validate_epsilon
 from ..rng import RngLike, ensure_rng
 
@@ -69,6 +71,15 @@ class FrequencyOracle(abc.ABC):
         ``p`` when the user's category is ``c``, ``q`` when it is not.
         """
 
+    def estimate_from_counts(self, counts: np.ndarray, users: int) -> np.ndarray:
+        """Unbiased frequencies ``(c/n − q) / (p − q)`` from support counts.
+
+        ``counts[j]`` is how many of the ``users`` reports support
+        category ``j`` (label counts, bit-column sums or hash supports).
+        """
+        p, q = self.support_probabilities
+        return (counts / users - q) / (p - q)
+
     def estimation_variance(self, frequency, users: int):
         """``Var[f̂] = P(1 − P) / (n (p − q)²)``, ``P = f·p + (1 − f)·q``.
 
@@ -104,17 +115,6 @@ class FrequencyOracle(abc.ABC):
             )
         sigmas = np.sqrt(self.estimation_variance(freq, users))
         return MultivariateDeviationModel(np.zeros_like(sigmas), sigmas)
-
-    def estimate_recalibrated(
-        self,
-        reports,
-        users: int,
-        recalibrator: Recalibrator,
-    ) -> RecalibrationResult:
-        """Estimate then apply HDR4ME with a plug-in deviation model."""
-        raw = self.estimate(reports)
-        model = self.deviation_model(users, frequencies=raw)
-        return recalibrator.recalibrate(raw, model)
 
     # --------------------------------------------------------------- helpers
 

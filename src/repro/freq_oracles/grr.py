@@ -54,8 +54,7 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         """Unbiased frequency estimates from perturbed labels."""
         arr = self._check_labels(reports)
         counts = np.bincount(arr, minlength=self.n_categories)
-        observed = counts / arr.size
-        return (observed - self.p_other) / (self.p_true - self.p_other)
+        return self.estimate_from_counts(counts, arr.size)
 
     @property
     def support_probabilities(self) -> Tuple[float, float]:

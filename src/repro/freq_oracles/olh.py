@@ -120,9 +120,8 @@ class OptimizedLocalHashing(FrequencyOracle):
 
     def estimate(self, reports: OlhReports, chunk: int = 4096) -> np.ndarray:
         """Unbiased frequency estimates by support counting."""
-        observed_rate = self.support_counts(reports, chunk) / reports.buckets.size
-        q = 1.0 / self.n_buckets
-        return (observed_rate - q) / (self.p_true - q)
+        counts = self.support_counts(reports, chunk)
+        return self.estimate_from_counts(counts, reports.buckets.size)
 
     @property
     def support_probabilities(self) -> Tuple[float, float]:

@@ -55,8 +55,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
                 "expected (n, %d) report matrix, got %s"
                 % (self.n_categories, matrix.shape)
             )
-        observed = matrix.mean(axis=0)
-        return (observed - self.p_flip) / (self.p_keep - self.p_flip)
+        return self.estimate_from_counts(matrix.sum(axis=0), matrix.shape[0])
 
     @property
     def support_probabilities(self) -> Tuple[float, float]:

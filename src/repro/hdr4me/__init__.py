@@ -10,13 +10,14 @@ Public surface:
   framework-driven λ* selection and the Theorem 3/4 probability bounds;
 * :class:`Recalibrator` / :class:`RecalibrationResult` — the façade tying
   the above together;
-* :class:`FrequencyEstimator` — the Section V-C frequency extension.
+* :func:`one_hot_encode` / :func:`postprocess_frequencies` /
+  :func:`norm_sub_frequencies` — the Section V-C histogram encoding and
+  frequency post-processing (the estimation itself is a categorical
+  attribute of :class:`~repro.session.LDPServer`).
 """
 
 from .elastic_net import ElasticNetRegularizer, recalibrate_elastic_net
 from .frequency import (
-    FrequencyEstimate,
-    FrequencyEstimator,
     adapt_to_unit_domain,
     norm_sub_frequencies,
     one_hot_encode,
@@ -53,8 +54,6 @@ __all__ = [
     "ElasticNetRegularizer",
     "recalibrate_elastic_net",
     "DEFAULT_FLOOR",
-    "FrequencyEstimate",
-    "FrequencyEstimator",
     "ImprovementGuarantee",
     "L1Regularizer",
     "L2Regularizer",

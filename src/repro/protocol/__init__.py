@@ -5,9 +5,9 @@ Public surface:
 * :class:`BudgetPlan` — ``ε/m`` and ``ε/2m`` budget arithmetic;
 * :class:`Client` / :class:`Report` — reference user-side implementation;
 * :class:`Aggregator` / :class:`AggregationResult` — streaming collector;
-* :class:`MeanEstimationPipeline` — vectorized end-to-end simulation, plus
-  the bridge to the Theorem 1 deviation model and HDR4ME;
-* :class:`FrequencyEstimationPipeline` — the Section V-C analogue.
+* :func:`collect_means` — one dataset-scale collection round through the
+  session API, and :func:`build_populations`, the discretized columns a
+  bounded mechanism's Theorem 1 model needs.
 """
 
 from .allocation import (
@@ -20,13 +20,7 @@ from .allocation import (
 from .budget import BudgetPlan
 from .client import Client, Report
 from .moments import VarianceEstimate, VarianceEstimationPipeline, true_variance
-from .pipeline import (
-    DEFAULT_CHUNK_SIZE,
-    FrequencyEstimationPipeline,
-    MeanEstimationPipeline,
-    PipelineResult,
-    build_populations,
-)
+from .pipeline import DEFAULT_CHUNK_SIZE, build_populations, collect_means
 from .server import AggregationResult, Aggregator
 from .setvalued import PaddingAndSampling, SetValuedEstimate, item_frequencies
 
@@ -37,10 +31,7 @@ __all__ = [
     "BudgetPlan",
     "Client",
     "DEFAULT_CHUNK_SIZE",
-    "FrequencyEstimationPipeline",
-    "MeanEstimationPipeline",
     "PaddingAndSampling",
-    "PipelineResult",
     "Report",
     "SetValuedEstimate",
     "SignalProportionalAllocation",
@@ -50,6 +41,7 @@ __all__ = [
     "WeightedAllocation",
     "allocated_pipeline_run",
     "build_populations",
+    "collect_means",
     "item_frequencies",
     "true_variance",
 ]

@@ -148,7 +148,7 @@ def allocated_pipeline_run(
 ):
     """Run a full-reporting collection round under a budget allocation.
 
-    A thin sibling of :class:`~repro.protocol.pipeline.MeanEstimationPipeline`
+    A sibling of :func:`~repro.protocol.pipeline.collect_means`
     for the ``m = d`` configuration with per-dimension budgets: each
     column ``j`` is perturbed with its own ``ε_j`` and averaged.
 

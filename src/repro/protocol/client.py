@@ -5,9 +5,9 @@ uniformly sample ``m`` of the ``d`` dimensions, perturb each sampled value
 with the per-dimension budget ``ε/m``, and emit a :class:`Report` carrying
 only the perturbed values — the original tuple never leaves the user.
 
-The pipeline in :mod:`repro.protocol.pipeline` uses a vectorized batch
-path for speed; :class:`Client` is the reference per-user implementation
-(the two are cross-checked in the integration tests).
+:func:`~repro.protocol.collect_means` runs the vectorized session path
+for speed; :class:`Client` is the reference per-user implementation
+(the two are cross-checked in the tests).
 """
 
 from __future__ import annotations

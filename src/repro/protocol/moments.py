@@ -5,7 +5,7 @@ natural first statistic beyond the mean is the per-dimension variance,
 ``Var_j = E[t_j²] − E[t_j]²``. This module implements the standard
 budget-split reduction: each user spends ``ε/2`` reporting her value and
 ``ε/2`` reporting its square (mapped from ``[0, 1]`` back to the
-mechanism's domain), both through the existing mean-estimation pipeline —
+mechanism's domain), both through :func:`~repro.protocol.collect_means` —
 so the analytical framework and HDR4ME apply to *both* moment vectors,
 and the re-calibrated moments compose into a re-calibrated variance.
 """
@@ -18,10 +18,12 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import DimensionError
+from ..framework.multivariate import build_multivariate_model
 from ..hdr4me.recalibrator import Recalibrator
 from ..mechanisms.base import AffineTransformedMechanism, Mechanism
 from ..rng import RngLike, ensure_rng
-from .pipeline import MeanEstimationPipeline
+from .budget import BudgetPlan
+from .pipeline import build_populations, collect_means
 
 
 def true_variance(data: np.ndarray) -> np.ndarray:
@@ -85,13 +87,8 @@ class VarianceEstimationPipeline:
         self.epsilon = float(epsilon)
         self.dimensions = int(dimensions)
         self.recalibrator = recalibrator
-        half = self.epsilon / 2.0
-        self._mean_pipeline = MeanEstimationPipeline(
-            mechanism, half, dimensions=self.dimensions
-        )
-        self._square_pipeline = MeanEstimationPipeline(
-            self.square_mechanism, half, dimensions=self.dimensions
-        )
+        #: The budget plan of each phase: ``ε/2`` over all ``d`` dimensions.
+        self.plan = BudgetPlan(self.epsilon / 2.0, self.dimensions, self.dimensions)
 
     def run(self, data: np.ndarray, rng: RngLike = None) -> VarianceEstimate:
         """Collect both moments and assemble the variance estimate."""
@@ -101,29 +98,32 @@ class VarianceEstimationPipeline:
             raise DimensionError(
                 "expected (n, %d) data, got %s" % (self.dimensions, matrix.shape)
             )
-        users = matrix.shape[0]
         squares = matrix**2
 
-        mean_result = self._mean_pipeline.run(matrix, gen)
-        square_result = self._square_pipeline.run(squares, gen)
-        mean = mean_result.theta_hat
-        second = square_result.theta_hat
+        half = self.plan.epsilon
+        mean = collect_means(self.mechanism, half, matrix, gen).numeric_means()
+        second = collect_means(
+            self.square_mechanism, half, squares, gen
+        ).numeric_means()
 
         if self.recalibrator is not None:
-            mean_model = self._mean_pipeline.deviation_model(
-                users=users,
-                data=matrix if self.mechanism.bounded else None,
-            )
-            square_model = self._square_pipeline.deviation_model(
-                users=users,
-                data=squares if self.mechanism.bounded else None,
-            )
-            mean = self.recalibrator.recalibrate(mean, mean_model).theta_star
-            second = self.recalibrator.recalibrate(
-                second, square_model
-            ).theta_star
+            mean = self._recalibrate(self.mechanism, mean, matrix)
+            second = self._recalibrate(self.square_mechanism, second, squares)
 
         variance = np.maximum(second - mean**2, 0.0)
         return VarianceEstimate(
             mean=mean, second_moment=second, variance=variance
         )
+
+    def _recalibrate(
+        self, mechanism: Mechanism, theta_hat: np.ndarray, data: np.ndarray
+    ) -> np.ndarray:
+        """HDR4ME on one moment vector with its Theorem 1 model."""
+        model = build_multivariate_model(
+            mechanism,
+            self.plan.epsilon_per_dimension,
+            self.plan.expected_reports(data.shape[0]),
+            build_populations(data) if mechanism.bounded else None,
+            ndim=self.dimensions,
+        )
+        return self.recalibrator.recalibrate(theta_hat, model).theta_star

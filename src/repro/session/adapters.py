@@ -454,8 +454,9 @@ class OracleCollector(AttributeCollector):
 
     Subclasses accumulate integer per-category statistics (label counts,
     bit-column sums or hash-support counts) — exact arithmetic, hence
-    trivially batching-invariant — and reconstruct the oracle's unbiased
-    estimator from them.
+    trivially batching-invariant — and the oracle's
+    :meth:`~repro.freq_oracles.FrequencyOracle.estimate_from_counts`
+    turns them into its unbiased estimator.
     """
 
     oracle_cls = FrequencyOracle  # overridden by subclasses
@@ -512,6 +513,11 @@ class OracleCollector(AttributeCollector):
         state.users = users
         return state
 
+    def estimate(self, state: _OracleState) -> np.ndarray:
+        return self.oracle.estimate_from_counts(
+            state.counts, self._require_reports(state)
+        )
+
     def deviation_model(self, state: _OracleState) -> MultivariateDeviationModel:
         self._require_reports(state)
         frequencies = np.clip(self.estimate(state), 0.0, 1.0)
@@ -546,12 +552,6 @@ class GrrCollector(OracleCollector):
         )
         state.users += payload.size
 
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p, q = self.oracle.p_true, self.oracle.p_other
-        return (observed - q) / (p - q)
-
 
 class OueCollector(OracleCollector):
     """OUE aggregation: exact column sums of the perturbed bit matrix."""
@@ -575,12 +575,6 @@ class OueCollector(OracleCollector):
     def fold(self, state: _OracleState, payload: np.ndarray) -> None:
         state.counts += np.rint(payload.sum(axis=0)).astype(np.int64)
         state.users += payload.shape[0]
-
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p, q = self.oracle.p_keep, self.oracle.p_flip
-        return (observed - q) / (p - q)
 
 
 class OlhCollector(OracleCollector):
@@ -630,13 +624,6 @@ class OlhCollector(OracleCollector):
 
     def payload_rows(self, payload: OlhReports) -> int:
         return int(payload.buckets.size)
-
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p = self.oracle.p_true
-        q = 1.0 / self.oracle.n_buckets
-        return (observed - q) / (p - q)
 
     def concat_payloads(self, payloads: Sequence[OlhReports]) -> OlhReports:
         return OlhReports(

@@ -35,6 +35,8 @@ from __future__ import annotations
 import abc
 import json
 import logging
+import os
+import pathlib
 import zlib
 from typing import Any, Dict, Mapping, Optional
 
@@ -84,6 +86,15 @@ def decode_document(blob: bytes, source: str) -> Dict[str, Any]:
             "expected" % (source, type(document).__name__)
         )
     return document
+
+
+def fsync_path(path: pathlib.Path) -> None:
+    """Flush a file's data, or a directory's entries, to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def document_crc(blob: bytes) -> int:

@@ -6,7 +6,9 @@ the target's own directory, so a crash mid-save can never destroy the
 previous good checkpoint. The scratch file is fsynced before the rename
 and the directory after it, so a save that returned survives a power
 loss. A failed write removes its scratch file
-instead of leaving a stale partial ``.tmp`` beside the target — this
+instead of leaving a stale partial ``.tmp`` beside the target, and an
+``OSError`` from the disk arrives as :class:`~repro.exceptions.StorageError`
+like every other backend's — this
 store is the library-wide home of what used to be ad-hoc logic inside
 :meth:`~repro.session.LDPServer.save_state` (which now delegates here,
 as does :meth:`~repro.session.ShardedServer.save_state`).
@@ -24,16 +26,7 @@ import pathlib
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..exceptions import StorageError
-from .base import CheckpointStore, decode_document, encode_document
-
-
-def _fsync(path: pathlib.Path) -> None:
-    """Flush a file's data, or a directory's entries, to stable storage."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+from .base import CheckpointStore, decode_document, encode_document, fsync_path
 
 
 class JsonFileStore(CheckpointStore):
@@ -53,15 +46,20 @@ class JsonFileStore(CheckpointStore):
         scratch = self.path.with_name(self.path.name + ".tmp")
         try:
             scratch.write_text(blob.decode("utf-8") + "\n")
-            _fsync(scratch)
+            fsync_path(scratch)
             os.replace(scratch, self.path)
-            _fsync(self.path.parent)
+            fsync_path(self.path.parent)
         # repro: allow[broad-except] -- cleanup-and-reraise: the atomic
         # save's scratch file must not survive any failure (including
-        # CancelledError); the original error propagates untouched.
-        except BaseException:
+        # CancelledError); a disk OSError is re-raised as StorageError,
+        # anything else propagates untouched.
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 scratch.unlink()
+            if isinstance(exc, OSError):
+                raise StorageError(
+                    "checkpoint save to %s failed: %s" % (self.path, exc)
+                ) from exc
             raise
         self._observe_op("save", self._op_clock() - started)
         self._observe_bytes(len(blob))
@@ -73,6 +71,10 @@ class JsonFileStore(CheckpointStore):
             blob = self.path.read_bytes()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise StorageError(
+                "cannot read checkpoint file %s: %s" % (self.path, exc)
+            ) from exc
         document = decode_document(blob, "checkpoint file %s" % self.path)
         self._observe_op("load", self._op_clock() - started)
         return document

@@ -7,7 +7,9 @@ final record, never a previously durable checkpoint. Segments roll over
 at ``segment_max_bytes`` and the log periodically *compacts*: the newest
 intact checkpoint is rewritten as the sole record of a fresh segment and
 every older segment is deleted, bounding disk usage without ever holding
-fewer than one durable checkpoint.
+fewer than one durable checkpoint. The directory itself is fsynced
+whenever a save or a compaction creates a segment file, so a returned
+``save`` cannot lose the new file's directory entry to a power cut.
 
 Record framing (little-endian), one record per checkpoint::
 
@@ -34,6 +36,7 @@ from .base import (
     decode_document,
     document_crc,
     encode_document,
+    fsync_path,
 )
 
 RECORD_MAGIC = b"RSEG"  # repro: allow[wire-constants] -- storage-local
@@ -118,10 +121,13 @@ class SegmentLogStore(CheckpointStore):
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             target = self._writable_segment(len(record))
+            created = not target.exists()
             with open(target, "ab") as handle:
                 handle.write(record)
                 handle.flush()
                 os.fsync(handle.fileno())
+            if created:
+                fsync_path(self.directory)
         except OSError as exc:
             raise StorageError(
                 "segment-log append under %s failed: %s" % (self.directory, exc)
@@ -220,7 +226,8 @@ class SegmentLogStore(CheckpointStore):
     def compact(self) -> None:
         """Rewrite the newest intact checkpoint as the whole log.
 
-        The compacted record lands in a *new* segment first; older
+        The compacted record lands in a *new* segment first, and the
+        directory is fsynced so that segment's entry is durable; older
         segments are deleted only afterwards, so a crash mid-compaction
         leaves at worst extra history, never less.
         """
@@ -235,6 +242,7 @@ class SegmentLogStore(CheckpointStore):
                 handle.write(_pack_record(payload))
                 handle.flush()
                 os.fsync(handle.fileno())
+            fsync_path(self.directory)
         except OSError as exc:
             raise StorageError(
                 "segment-log compaction under %s failed: %s"

@@ -20,7 +20,7 @@ from repro.exceptions import DimensionError, DomainError
 from repro.freq_oracles.olh import OlhReports
 from repro.hdr4me.frequency import one_hot_encode
 from repro.mechanisms import LaplaceMechanism
-from repro.protocol import MeanEstimationPipeline
+from repro.protocol import collect_means
 from repro.protocol.budget import BudgetPlan
 from repro.session import (
     CategoricalAttribute,
@@ -239,13 +239,11 @@ class TestIntegralSampling:
 
 class TestPipelineBoundary:
     def test_out_of_domain_data_rejected(self):
-        pipeline = MeanEstimationPipeline(LaplaceMechanism(), 1.0, dimensions=3)
         data = np.zeros((5, 3))
         data[2, 1] = 1.5
         with pytest.raises(DomainError):
-            pipeline.run(data, rng=0)
+            collect_means(LaplaceMechanism(), 1.0, data, rng=0)
 
     def test_shape_checked(self):
-        pipeline = MeanEstimationPipeline(LaplaceMechanism(), 1.0, dimensions=3)
         with pytest.raises(DimensionError):
-            pipeline.run(np.zeros((5, 2)), rng=0)
+            collect_means(LaplaceMechanism(), 1.0, np.zeros((5, 2, 1)), rng=0)

@@ -13,11 +13,11 @@ import pytest
 
 from repro import (
     DomainError,
-    MeanEstimationPipeline,
     PrivacyBudgetError,
     Recalibrator,
     ReproError,
     ValueDistribution,
+    collect_means,
     get_mechanism,
 )
 from repro.exceptions import CalibrationError, DistributionError
@@ -57,35 +57,24 @@ class TestMechanismInputs:
 
 class TestPipelineInputs:
     def test_nan_data_rejected_before_collection(self, rng):
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("piecewise"), 1.0, dimensions=3
-        )
         data = rng.uniform(-1, 1, size=(10, 3))
         data[4, 1] = np.nan
         with pytest.raises(ReproError):
-            pipeline.run(data, rng)
+            collect_means(get_mechanism("piecewise"), 1.0, data, rng)
 
     def test_out_of_domain_data_rejected(self, rng):
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("piecewise"), 1.0, dimensions=2
-        )
         with pytest.raises(DomainError):
-            pipeline.run(np.full((5, 2), 3.0), rng)
+            collect_means(get_mechanism("piecewise"), 1.0, np.full((5, 2), 3.0), rng)
 
     def test_single_user_dataset(self, rng):
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("laplace"), 1.0, dimensions=2
-        )
-        result = pipeline.run(np.zeros((1, 2)), rng)
-        assert result.users == 1
-        assert np.all(np.isfinite(result.theta_hat))
+        estimate = collect_means(get_mechanism("laplace"), 1.0, np.zeros((1, 2)), rng)
+        assert estimate.users == 1
+        assert np.all(np.isfinite(estimate.numeric_means()))
 
     def test_single_dimension(self, rng):
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("laplace"), 1.0, dimensions=1
-        )
-        result = pipeline.run(rng.uniform(-1, 1, size=(100, 1)), rng)
-        assert result.theta_hat.shape == (1,)
+        data = rng.uniform(-1, 1, size=(100, 1))
+        estimate = collect_means(get_mechanism("laplace"), 1.0, data, rng)
+        assert estimate.numeric_means().shape == (1,)
 
 
 class TestFrameworkInputs:
@@ -139,9 +128,6 @@ class TestExtremeScales:
     def test_huge_budget_pipeline(self, rng):
         # Essentially no privacy: the estimate must equal the mean.
         data = rng.uniform(-1, 1, size=(500, 3))
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("piecewise"), 1e4, dimensions=3
-        )
-        result = pipeline.run(data, rng)
-        np.testing.assert_allclose(result.theta_hat, data.mean(axis=0),
+        estimate = collect_means(get_mechanism("piecewise"), 1e4, data, rng)
+        np.testing.assert_allclose(estimate.numeric_means(), data.mean(axis=0),
                                    atol=0.02)

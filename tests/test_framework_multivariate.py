@@ -136,14 +136,14 @@ class TestMsePrediction:
     def test_prediction_matches_simulation(self, rng):
         """Framework MSE prediction vs an actual end-to-end run."""
         from repro.analysis import mse, true_mean
-        from repro.protocol import MeanEstimationPipeline
+        from repro.protocol import collect_means
 
         d, n, eps = 20, 5_000, 1.0
         data = rng.uniform(-1, 1, size=(n, d))
-        pipeline = MeanEstimationPipeline(LaplaceMechanism(), eps, dimensions=d)
-        model = pipeline.deviation_model(users=n)
+        mech = LaplaceMechanism()
+        model = build_multivariate_model(mech, eps / d, n, None, ndim=d)
         observed = np.mean([
-            mse(pipeline.run(data, rng).theta_hat, true_mean(data))
+            mse(collect_means(mech, eps, data, rng).numeric_means(), true_mean(data))
             for _ in range(10)
         ])
         assert observed == pytest.approx(model.predicted_mse(), rel=0.25)

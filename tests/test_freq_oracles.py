@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DimensionError, DomainError
 from repro.freq_oracles import (
-    FrequencyOracle,
     GeneralizedRandomizedResponse,
     OptimizedLocalHashing,
     OptimizedUnaryEncoding,
@@ -16,6 +15,7 @@ from repro.freq_oracles import (
     get_oracle,
 )
 from repro.hdr4me import Recalibrator
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
 
 ORACLE_NAMES = ("grr", "oue", "olh")
 
@@ -246,14 +246,13 @@ class TestHdr4meComposition:
     def test_recalibrated_estimate(self, name, rng):
         v = 16
         labels = rng.choice(v, size=30_000)
-        oracle = get_oracle(name, 1.0, v)
-        reports = oracle.privatize(labels, rng)
-        result = oracle.estimate_recalibrated(
-            reports, labels.size, Recalibrator(norm="l2")
-        )
+        schema = Schema([CategoricalAttribute("c", n_categories=v)])
+        server = LDPServer(schema, 1.0, protocols=name)
+        server.ingest(LDPClient(schema, 1.0, protocols=name).report_batch(labels[:, None], rng))
+        estimate = server.estimate(postprocess=Recalibrator(norm="l2"))["c"]
         truth = np.bincount(labels, minlength=v) / labels.size
-        raw_mse = np.mean((oracle.estimate(reports) - truth) ** 2)
-        enhanced_mse = np.mean((result.theta_star - truth) ** 2)
+        raw_mse = np.mean((estimate.raw - truth) ** 2)
+        enhanced_mse = np.mean((estimate.enhanced - truth) ** 2)
         # A single categorical attribute is below the Lemma 4/5 thresholds,
         # so L2 is not expected to *help* here — only to stay sane (its
         # shrinkage bias is bounded by the envelope-to-frequency ratio).

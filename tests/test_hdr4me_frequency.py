@@ -5,21 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError, DomainError
+from repro.exceptions import AggregationError, DimensionError, DomainError
 from repro.hdr4me import (
-    FrequencyEstimator,
     Recalibrator,
     one_hot_encode,
     postprocess_frequencies,
     true_frequencies,
 )
 from repro.hdr4me.frequency import adapt_to_unit_domain
-from repro.mechanisms import (
-    LaplaceMechanism,
-    PiecewiseMechanism,
-    SquareWaveMechanism,
-    get_mechanism,
-)
+from repro.mechanisms import PiecewiseMechanism, SquareWaveMechanism
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
 
 
 class TestEncoding:
@@ -80,52 +75,59 @@ class TestAdaptation:
         assert wrapped.input_domain == (0.0, 1.0)
 
 
+def _round(protocol, epsilon, labels, v, rng, postprocess=None):
+    """One histogram-encoded round of a one-attribute :class:`LDPServer`."""
+    schema = Schema([CategoricalAttribute("c", n_categories=v)])
+    client = LDPClient(schema, epsilon, protocols=protocol)
+    server = LDPServer(schema, epsilon, protocols=protocol)
+    server.ingest(client.report_batch(np.asarray(labels)[:, None], rng))
+    return server.estimate(postprocess=postprocess)["c"]
+
+
 class TestEstimator:
     @pytest.mark.parametrize("name", ["laplace", "piecewise", "square_wave_unit"])
     def test_recovers_frequencies(self, name, rng):
         labels = rng.choice(4, size=40_000, p=[0.5, 0.3, 0.15, 0.05])
-        estimator = FrequencyEstimator(get_mechanism(name), epsilon=4.0)
-        estimate = estimator.estimate(labels, 4, rng)
+        estimate = _round(name, 4.0, labels, 4, rng)
         truth = true_frequencies(labels, 4)
-        np.testing.assert_allclose(estimate.best(), truth, atol=0.05)
+        np.testing.assert_allclose(
+            postprocess_frequencies(estimate.value), truth, atol=0.05
+        )
 
     def test_epsilon_per_entry_is_half_per_dim(self):
-        estimator = FrequencyEstimator(
-            LaplaceMechanism(), epsilon=2.0, sampled_dimensions=4
+        schema = Schema(
+            [CategoricalAttribute("q%d" % j, n_categories=3) for j in range(4)]
         )
-        assert estimator.epsilon_per_entry == pytest.approx(0.25)
+        server = LDPServer(schema, 2.0, sampled_attributes=4, protocols="laplace")
+        assert server.collectors["q0"].epsilon_per_entry == pytest.approx(0.25)
 
     def test_with_recalibration(self, rng):
         labels = rng.choice(8, size=20_000)
-        estimator = FrequencyEstimator(
-            PiecewiseMechanism(),
-            epsilon=1.0,
-            recalibrator=Recalibrator(norm="l2"),
+        estimate = _round(
+            "piecewise", 1.0, labels, 8, rng, postprocess=Recalibrator(norm="l2")
         )
-        estimate = estimator.estimate(labels, 8, rng)
         assert estimate.enhanced is not None
         # L2 shrinks, never amplifies.
         assert np.all(np.abs(estimate.enhanced) <= np.abs(estimate.raw) + 1e-12)
 
     def test_without_recalibration_enhanced_is_none(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=1.0)
-        estimate = estimator.estimate(rng.choice(3, size=1000), 3, rng)
+        estimate = _round("laplace", 1.0, rng.choice(3, size=1000), 3, rng)
         assert estimate.enhanced is None
         assert estimate.reports == 1000
 
     def test_empty_input_rejected(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=1.0)
-        with pytest.raises(DimensionError):
-            estimator.estimate(np.empty(0, dtype=int), 3, rng)
+        with pytest.raises(AggregationError):
+            _round("laplace", 1.0, np.empty(0, dtype=int), 3, rng)
 
     def test_invalid_sampled_dimensions(self):
+        schema = Schema([CategoricalAttribute("c", n_categories=3)])
         with pytest.raises(DimensionError):
-            FrequencyEstimator(LaplaceMechanism(), 1.0, sampled_dimensions=0)
+            LDPServer(schema, 1.0, sampled_attributes=0, protocols="laplace")
 
     def test_best_falls_back_to_raw(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=4.0)
-        estimate = estimator.estimate(rng.choice(3, size=5000), 3, rng)
+        estimate = _round("laplace", 4.0, rng.choice(3, size=5000), 3, rng)
+        np.testing.assert_array_equal(estimate.value, estimate.raw)
         np.testing.assert_allclose(
-            estimate.best(normalize=False),
+            postprocess_frequencies(estimate.value, normalize=False),
             np.clip(estimate.raw, 0.0, 1.0),
         )

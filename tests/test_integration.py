@@ -21,9 +21,11 @@ import pytest
 from repro.analysis import gaussian_fit, mse, true_mean
 from repro.experiments import simulate_dimension_deviations
 from repro.framework import ValueDistribution, build_deviation_model
-from repro.hdr4me import FrequencyEstimator, Recalibrator, true_frequencies
+from repro.hdr4me import Recalibrator, postprocess_frequencies, true_frequencies
 from repro.mechanisms import get_mechanism
-from repro.protocol import MeanEstimationPipeline, build_populations
+from repro.protocol import build_populations, collect_means
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
+from testutil import full_report_model
 
 
 class TestFrameworkPredictsExperiment:
@@ -46,12 +48,9 @@ class TestFrameworkPredictsExperiment:
         d, n = 50, 4000
         data = rng.uniform(-1, 1, size=(n, d))
         mech = get_mechanism("piecewise")
-        pipeline = MeanEstimationPipeline(mech, 1.0, dimensions=d)
-        model = pipeline.deviation_model(
-            users=n, populations=build_populations(data)
-        )
+        model = full_report_model(mech, 1.0, n, d, build_populations(data))
         observed = np.mean([
-            mse(pipeline.run(data, rng).theta_hat, true_mean(data))
+            mse(collect_means(mech, 1.0, data, rng).numeric_means(), true_mean(data))
             for _ in range(8)
         ])
         assert observed == pytest.approx(model.predicted_mse(), rel=0.25)
@@ -66,15 +65,13 @@ class TestHdr4meEnhancement:
         data[:, :15] += 0.9
         data = np.clip(data, -1, 1)
         mech = get_mechanism(name)
-        pipeline = MeanEstimationPipeline(mech, eps, dimensions=d)
-        result = pipeline.run(data, rng)
-        model = pipeline.deviation_model(
-            users=n,
-            populations=build_populations(data) if mech.bounded else None,
+        theta_hat = collect_means(mech, eps, data, rng).numeric_means()
+        model = full_report_model(
+            mech, eps, n, d, build_populations(data) if mech.bounded else None
         )
-        enhanced = Recalibrator(norm=norm).recalibrate(result.theta_hat, model)
+        enhanced = Recalibrator(norm=norm).recalibrate(theta_hat, model)
         truth = true_mean(data)
-        assert mse(enhanced.theta_star, truth) < 0.5 * mse(result.theta_hat, truth)
+        assert mse(enhanced.theta_star, truth) < 0.5 * mse(theta_hat, truth)
         # Theorem 3/4 should be near-certain in this regime.
         assert enhanced.guarantee.paper_bound > 0.99
 
@@ -85,14 +82,11 @@ class TestHdr4meEnhancement:
         d, n, eps = 100, 4000, 0.4
         data = np.clip(rng.normal(0.3, 0.2, size=(n, d)), -1, 1)
         mech = get_mechanism("square_wave")
-        pipeline = MeanEstimationPipeline(mech, eps, dimensions=d)
-        result = pipeline.run(data, rng)
-        model = pipeline.deviation_model(
-            users=n, populations=build_populations(data)
-        )
-        enhanced = Recalibrator(norm="l1").recalibrate(result.theta_hat, model)
+        theta_hat = collect_means(mech, eps, data, rng).numeric_means()
+        model = full_report_model(mech, eps, n, d, build_populations(data))
+        enhanced = Recalibrator(norm="l1").recalibrate(theta_hat, model)
         truth = true_mean(data)
-        improvement = mse(result.theta_hat, truth) / mse(
+        improvement = mse(theta_hat, truth) / mse(
             enhanced.theta_star, truth
         )
         # No order-of-magnitude gain (contrast with the Laplace/Piecewise
@@ -104,29 +98,27 @@ class TestHdr4meEnhancement:
         d, n = 20, 1000
         data = rng.uniform(-1, 1, size=(n, d))
         mech = get_mechanism("laplace")
-        pipeline = MeanEstimationPipeline(mech, 0.5, dimensions=d)
-        result = pipeline.run(data, rng=5)
-        model = pipeline.deviation_model(users=n)
-        before = result.theta_hat.copy()
-        Recalibrator(norm="l1").recalibrate(result.theta_hat, model)
-        Recalibrator(norm="l2").recalibrate(result.theta_hat, model)
-        np.testing.assert_array_equal(result.theta_hat, before)
+        theta_hat = collect_means(mech, 0.5, data, rng=5).numeric_means()
+        model = full_report_model(mech, 0.5, n, d)
+        before = theta_hat.copy()
+        Recalibrator(norm="l1").recalibrate(theta_hat, model)
+        Recalibrator(norm="l2").recalibrate(theta_hat, model)
+        np.testing.assert_array_equal(theta_hat, before)
 
 
 class TestFrequencyExtension:
     def test_end_to_end_with_enhancement(self, rng):
         labels = rng.choice(16, size=30_000)
-        mech = get_mechanism("piecewise")
-        plain = FrequencyEstimator(mech, epsilon=2.0)
-        enhanced = FrequencyEstimator(
-            mech, epsilon=2.0, recalibrator=Recalibrator(norm="l2")
-        )
+        schema = Schema([CategoricalAttribute("c", n_categories=16)])
+        client = LDPClient(schema, 2.0, protocols="piecewise")
+        server = LDPServer(schema, 2.0, protocols="piecewise")
+        server.ingest(client.report_batch(labels[:, None], rng=11))
         truth = true_frequencies(labels, 16)
-        est_plain = plain.estimate(labels, 16, rng=11)
-        est_enh = enhanced.estimate(labels, 16, rng=11)
-        # Identical perturbation stream; both recover the truth sanely.
-        assert np.mean((est_plain.best() - truth) ** 2) < 1e-3
-        assert np.mean((est_enh.best() - truth) ** 2) < 1e-3
+        est_plain = server.estimate().frequencies("c")
+        est_enh = server.estimate(postprocess=Recalibrator(norm="l2")).frequencies("c")
+        # One set of reports, two readings; both recover the truth sanely.
+        assert np.mean((postprocess_frequencies(est_plain) - truth) ** 2) < 1e-3
+        assert np.mean((postprocess_frequencies(est_enh) - truth) ** 2) < 1e-3
 
 
 class TestPrivacyAccounting:

@@ -69,9 +69,8 @@ class TestFrameworkIntegration:
 
     def test_pipeline_end_to_end(self, rng):
         from repro.analysis import mse, true_mean
-        from repro.protocol import MeanEstimationPipeline
+        from repro.protocol import collect_means
 
         data = rng.uniform(-1, 1, size=(20_000, 5))
-        pipeline = MeanEstimationPipeline(SCDFMechanism(), 10.0, dimensions=5)
-        result = pipeline.run(data, rng)
-        assert mse(result.theta_hat, true_mean(data)) < 0.01
+        estimate = collect_means(SCDFMechanism(), 10.0, data, rng)
+        assert mse(estimate.numeric_means(), true_mean(data)) < 0.01

@@ -55,8 +55,9 @@ class TestPipeline:
         pipeline = VarianceEstimationPipeline(
             get_mechanism("laplace"), epsilon=3.0, dimensions=4
         )
-        assert pipeline._mean_pipeline.plan.epsilon == pytest.approx(1.5)
-        assert pipeline._square_pipeline.plan.epsilon == pytest.approx(1.5)
+        # Both phases (the mean and the square) run under this plan.
+        assert pipeline.plan.epsilon == pytest.approx(1.5)
+        assert pipeline.plan.sampled_dimensions == 4
 
     def test_domain_checked(self):
         with pytest.raises(DimensionError):

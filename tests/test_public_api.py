@@ -93,26 +93,34 @@ class TestImports:
         assert np.isfinite(estimate["screen_time"].scalar)
         assert estimate.frequencies("top_app").shape == (16,)
 
-    def test_legacy_pipeline_facade_runs(self):
-        """The pre-session entry points keep their documented flow."""
+    def test_collect_means_flow_runs(self):
+        """A dataset round, its Theorem 1 model and HDR4ME, from the root."""
         from repro import (
-            MeanEstimationPipeline,
+            BudgetPlan,
             Recalibrator,
+            build_multivariate_model,
+            collect_means,
             gaussian_dataset,
             get_mechanism,
             mse,
             true_mean,
         )
+        from repro.protocol import build_populations
 
+        mech = get_mechanism("piecewise")
         data = gaussian_dataset(users=2_000, dimensions=20, rng=0)
-        pipeline = MeanEstimationPipeline(
-            get_mechanism("piecewise"), epsilon=0.5, dimensions=20
+        theta_hat = collect_means(mech, 0.5, data, rng=1).numeric_means()
+        plan = BudgetPlan(0.5, 20, 20)
+        model = build_multivariate_model(
+            mech,
+            plan.epsilon_per_dimension,
+            plan.expected_reports(2_000),
+            build_populations(data),
+            ndim=20,
         )
-        result = pipeline.run(data, rng=1)
-        model = pipeline.deviation_model(users=result.users, data=data)
-        enhanced = Recalibrator(norm="l1").recalibrate(result.theta_hat, model)
+        enhanced = Recalibrator(norm="l1").recalibrate(theta_hat, model)
         assert mse(enhanced.theta_star, true_mean(data)) <= mse(
-            result.theta_hat, true_mean(data)
+            theta_hat, true_mean(data)
         )
 
     def test_public_items_have_docstrings(self):

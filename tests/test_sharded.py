@@ -20,6 +20,7 @@ from repro.exceptions import (
     AggregationError,
     ContractMismatchError,
     DimensionError,
+    StorageError,
     WireFormatError,
 )
 from repro.mechanisms import available_mechanisms
@@ -362,7 +363,7 @@ class TestCheckpoints:
             raise OSError("disk full")
 
         monkeypatch.setattr(pathlib.Path, "write_text", partial_write)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(StorageError, match="disk full"):
             server.save_state(tmp_path / "state.json")
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
@@ -379,7 +380,7 @@ class TestCheckpoints:
             raise OSError("cross-device link")
 
         monkeypatch.setattr(os, "replace", broken_replace)
-        with pytest.raises(OSError, match="cross-device"):
+        with pytest.raises(StorageError, match="cross-device"):
             server.save_state(tmp_path / "state.json")
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []

@@ -238,6 +238,38 @@ class TestSegmentLog:
         assert len(store.segments()) == 1
         assert store.load() == {"round": 11}
 
+    def test_directory_fsynced_exactly_when_a_segment_file_is_created(
+        self, tmp_path, monkeypatch
+    ):
+        import pathlib
+
+        from repro.storage import segments as segments_module
+
+        directory = tmp_path / "log"
+        calls = []
+        real_fsync_path = segments_module.fsync_path
+
+        def record(path):
+            present = sorted(p.name for p in directory.glob("*.seg"))
+            calls.append((pathlib.Path(path), present))
+            real_fsync_path(path)
+
+        monkeypatch.setattr(segments_module, "fsync_path", record)
+        # Each record is 24 bytes: two fit in a 64-byte segment, a third rolls.
+        store = SegmentLogStore(directory, segment_max_bytes=64, compact_every=1000)
+        store.save({"round": 0})  # first save creates the first segment
+        assert calls == [(directory, ["00000001.seg"])]
+        store.save({"round": 1})  # an append creates no directory entry
+        assert len(calls) == 1
+        store.save({"round": 2})  # the roll creates a second segment
+        assert calls[1:] == [(directory, ["00000001.seg", "00000002.seg"])]
+        store.compact()  # fsynced after the new segment, before the unlinks
+        assert calls[2:] == [
+            (directory, ["00000001.seg", "00000002.seg", "00000003.seg"])
+        ]
+        assert [p.name for p in store.segments()] == ["00000003.seg"]
+        assert store.load() == {"round": 2}
+
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(StorageError):
             SegmentLogStore(tmp_path / "log", segment_max_bytes=0)
@@ -271,8 +303,9 @@ class TestJsonFileAtomicity:
             raise OSError("disk full")
 
         monkeypatch.setattr(pathlib.Path, "write_text", broken)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(StorageError, match="disk full") as caught:
             store.save({"round": 2})
+        assert isinstance(caught.value.__cause__, OSError)
         monkeypatch.undo()
         # No scratch litter, and the previous checkpoint survived.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
@@ -304,6 +337,29 @@ class TestJsonFileAtomicity:
             ("replace",),
             ("fsync", "directory", tmp_path.stat().st_ino),
         ]
+
+    def test_unreadable_file_raises_storage_error(self, tmp_path):
+        target = tmp_path / "ckpt.json"
+        target.mkdir()  # reading a directory is an OSError, not a miss
+        with pytest.raises(StorageError, match="cannot read") as caught:
+            JsonFileStore(target).load()
+        assert isinstance(caught.value.__cause__, OSError)
+
+    def test_non_os_errors_propagate_untouched(self, tmp_path, monkeypatch):
+        import asyncio
+        import pathlib
+
+        real_write = pathlib.Path.write_text
+
+        def cancelled(self, text, *args, **kwargs):
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise asyncio.CancelledError()
+
+        monkeypatch.setattr(pathlib.Path, "write_text", cancelled)
+        with pytest.raises(asyncio.CancelledError):
+            JsonFileStore(tmp_path / "ckpt.json").save({"round": 1})
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_required_raises_on_missing(self, tmp_path):
         with pytest.raises(StorageError, match="no checkpoint"):

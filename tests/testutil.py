@@ -18,3 +18,18 @@ def interior_value(mechanism, fraction=0.3):
     """A point strictly inside a mechanism's input domain."""
     lo, hi = mechanism.input_domain
     return lo + fraction * (hi - lo)
+
+
+def full_report_model(mechanism, epsilon, users, dimensions, populations=None):
+    """Theorem 1 model of an ``m = d`` round of ``users`` over ``dimensions``."""
+    from repro.framework import build_multivariate_model
+    from repro.protocol import BudgetPlan
+
+    plan = BudgetPlan(epsilon, dimensions, dimensions)
+    return build_multivariate_model(
+        mechanism,
+        plan.epsilon_per_dimension,
+        plan.expected_reports(users),
+        populations,
+        ndim=dimensions,
+    )
